@@ -149,7 +149,10 @@ def weyl_dim(mu) -> int:
             sum(a * b for a, b in zip(shifted, alpha)),
             sum(a * b for a, b in zip(r, alpha)),
         )
-    assert value.denominator == 1 and value > 0
+    if value.denominator != 1 or value <= 0:
+        raise InternalInconsistency(
+            f"Weyl dimension of {mu} came out as {value}"
+        )
     return int(value)
 
 

@@ -40,7 +40,7 @@ def _parse_json_arg(text: str, what: str):
 
 def _weight_arg(text: str, what: str) -> tuple:
     data = _parse_json_arg(text, what)
-    if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+    if not isinstance(data, list) or not all(type(c) is int for c in data):
         raise DomainError(f"{what} must be a JSON array of integers")
     return tuple(data)
 

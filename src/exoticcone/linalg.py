@@ -3,12 +3,24 @@
 Matrices are row-major lists of lists, vectors are lists; entries are ints
 or ``fractions.Fraction`` (the two interoperate exactly). A subspace is
 stored canonically as the reduced row echelon form of any spanning set, as
-a tuple of tuples, so equal subspaces compare and hash equal.
+a tuple of tuples of Fractions, so equal subspaces compare and hash equal.
+
+Elimination runs on ints. ``rref`` (and with it ``rank``, ``nullspace``,
+``solve``, ``inverse`` and ``span``) and ``det`` scale each row by the lcm
+of its denominators and run fraction-free Gauss-Jordan elimination (E. H.
+Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every update divides exactly by an
+earlier pivot, so entries stay minors of the input instead of growing
+fractions. Only the final pivot rows are turned back into Fractions, by one
+division each, which yields the same canonical form over Q. Maps and
+spanning sets are scaled to ints the same way (``int_multiple``,
+``int_rows``) before they are multiplied out for an elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DomainError, InternalInconsistency
 
@@ -16,12 +28,15 @@ Vec = list
 Mat = list
 Subspace = tuple
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:
@@ -31,23 +46,31 @@ def frac(x) -> Fraction:
     raise DomainError(f"not an exact rational: {x!r}")
 
 
+def _exact(x):
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
+
+
 def to_vec(entries) -> Vec:
-    return [frac(x) for x in entries]
+    return [_exact(x) for x in entries]
 
 
 def to_mat(rows) -> Mat:
-    m = [[frac(x) for x in row] for row in rows]
+    m = [[_exact(x) for x in row] for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
         raise DomainError("ragged matrix")
     return m
 
 
 def identity(d: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    return [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
 
 
 def zero_vec(d: int) -> Vec:
-    return [Fraction(0)] * d
+    return [_ZERO] * d
 
 
 def transpose(a: Mat) -> Mat:
@@ -81,29 +104,112 @@ def mat_eq(a: Mat, b: Mat) -> bool:
     return len(a) == len(b) and all(ra == rb for ra, rb in zip(a, b))
 
 
-def rref(rows) -> tuple[list, list]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    m = [[frac(x) for x in row] for row in rows]
+def _int_row(row) -> tuple[list, int]:
+    """The row times the lcm of its denominators, as ints, and that lcm."""
+    types = set(map(type, row))
+    if types <= {int}:
+        return list(row), 1
+    if not types <= {int, Fraction}:
+        row = [frac(x) for x in row]
+    nums, dens = zip(*[x.as_integer_ratio() for x in row])
+    den = lcm(*dens)
+    if den == 1:
+        return list(nums), 1
+    return [p * (den // q) for p, q in zip(nums, dens)], den
+
+
+def int_rows(rows) -> Mat:
+    """Each row times the lcm of its denominators: every row keeps its
+    span, and every entry is an int."""
+    return [_int_row(row)[0] for row in rows]
+
+
+def int_multiple(a: Mat) -> Mat:
+    """a times the lcm of all its denominators: a positive multiple with
+    int entries, so with the same kernel, image and rank of every power."""
+    rows = [_int_row(row) for row in a]
+    den = lcm(*[row_den for _, row_den in rows])
+    return [[x * (den // row_den) for x in ints] for ints, row_den in rows]
+
+
+def _echelon(m: list) -> tuple[list, int]:
+    """Fraction-free Gauss-Jordan (Bareiss) elimination of the int rows
+    m, in place.
+
+    The pivot of each column is the first row at or below the current
+    one that is nonzero there. Every other row with a nonzero entry f in
+    the pivot column becomes (p * row - f * pivot_row) // q, where p is
+    the pivot and q the pivot that row was last divided by (1 at the
+    start). A row that is zero in the pivot column is left as it is,
+    with its q: the Bareiss step would only scale it by p over the
+    previous pivot, and dividing by its own q at its next update gives
+    the same result. So every stored row is the Bareiss row of the step
+    at which it was last updated, whose entries are minors of m
+    (Sylvester's identity): each division is exact, and entries grow
+    only as minors do. A pivot row is scaled up to the current step
+    before use.
+
+    Afterwards the first len(pivots) rows are the pivot rows, each
+    holding in its pivot column the pivot it was last divided by, and
+    the other rows are zero. Returns the pivot columns and the sign of
+    the row permutation; for a square m of full rank, the last pivot is
+    that sign times det(m).
+    """
     nrows = len(m)
     ncols = len(m[0]) if m else 0
+    last = [1] * nrows  # the pivot each row was last divided by
     pivots = []
+    sign = 1
+    prev = 1
     r = 0
     for c in range(ncols):
         pivot = next((i for i in range(r, nrows) if m[i][c]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            last[r], last[pivot] = last[pivot], last[r]
+            sign = -sign
+        prow = m[r]
+        if last[r] != prev:
+            q = last[r]
+            prow = m[r] = [x * prev // q for x in prow]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            row = m[i]
+            f = row[c]
+            if f and i != r:
+                q = last[i]
+                m[i] = [(p * x - f * y) // q for x, y in zip(row, prow)]
+                last[i] = p
+        last[r] = prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return m[:r], pivots
+    return pivots, sign
+
+
+def _ratio(x: int, p: int) -> Fraction:
+    if not x:
+        return _ZERO
+    if x == p:
+        return _ONE
+    return Fraction(x, p)
+
+
+def rref(rows) -> tuple[list, list]:
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns).
+
+    The rows are scaled to ints, eliminated fraction-free by _echelon,
+    and each pivot row is divided once by its pivot at the end, which
+    gives the canonical form over Q with Fraction entries.
+    """
+    m = int_rows(rows)
+    pivots, _ = _echelon(m)
+    return [
+        [_ratio(x, row[c]) for x in row] for row, c in zip(m, pivots)
+    ], pivots
 
 
 def rank(rows) -> int:
@@ -123,9 +229,10 @@ def nullspace(rows, ncols: int | None = None) -> list:
         if free in pivot_set:
             continue
         v = zero_vec(ncols)
-        v[free] = Fraction(1)
+        v[free] = _ONE
         for row, p in zip(red, pivots):
-            v[p] = -row[free]
+            if row[free]:
+                v[p] = -row[free]
         basis.append(v)
     return basis
 
@@ -145,28 +252,23 @@ def solve(a: Mat, b: Vec):
 
 def det(a: Mat) -> Fraction:
     d = len(a)
-    m = [[frac(x) for x in row] for row in a]
-    sign = 1
-    out = Fraction(1)
-    for c in range(d):
-        pivot = next((i for i in range(c, d) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        out *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, d):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * out
+    if any(len(row) != d for row in a):
+        raise DomainError("determinant of a non-square matrix")
+    m = []
+    den = 1
+    for row in a:
+        ints, row_den = _int_row(row)
+        m.append(ints)
+        den *= row_den
+    pivots, sign = _echelon(m)
+    if len(pivots) < d:
+        return _ZERO
+    return Fraction(sign * m[d - 1][d - 1], den) if d else _ONE
 
 
 def inverse(a: Mat) -> Mat:
     d = len(a)
-    aug = [list(map(frac, row)) + ident for row, ident in zip(a, identity(d))]
+    aug = [list(row) + ident for row, ident in zip(a, identity(d))]
     red, pivots = rref(aug)
     if pivots != list(range(d)):
         raise DomainError("matrix is singular")
@@ -193,18 +295,24 @@ def sub_dim(s: Subspace) -> int:
     return len(s)
 
 
-def contains(s: Subspace, vec) -> bool:
-    v = to_vec(vec)
-    for row in s:
+def _in_span(echelon: Mat, v: Vec) -> bool:
+    """Whether the int vector v lies in the span of the int rows of an
+    echelon form, by fraction-free reduction against them."""
+    for row in echelon:
         lead = next((c for c, x in enumerate(row) if x), None)
         if lead is not None and v[lead]:
-            f = v[lead]
-            v = [x - f * y for x, y in zip(v, row)]
+            p, f = row[lead], v[lead]
+            v = [p * x - f * y for x, y in zip(v, row)]
     return not any(v)
 
 
+def contains(s: Subspace, vec) -> bool:
+    return _in_span(int_rows(s), _int_row(vec)[0])
+
+
 def sub_leq(a: Subspace, b: Subspace) -> bool:
-    return all(contains(b, row) for row in a)
+    echelon = int_rows(b)
+    return all(_in_span(echelon, row) for row in int_rows(a))
 
 
 def sub_add(a: Subspace, b: Subspace) -> Subspace:
@@ -224,13 +332,15 @@ def sub_intersect(a: Subspace, b: Subspace, d: int) -> Subspace:
 
 
 def map_image(x: Mat, s: Subspace) -> Subspace:
-    return span([mat_vec(x, list(row)) for row in s])
+    xi = int_multiple(x)
+    return span([mat_vec(xi, row) for row in int_rows(s)])
 
 
 def map_preimage(x: Mat, s: Subspace, d: int) -> Subspace:
     """{w : x w lies in the row span s}."""
     ann = nullspace([list(r) for r in s], d) if s else identity(d)
-    rows = [mat_vec(transpose(x), y) for y in ann]
+    xt = int_multiple(transpose(x))
+    rows = [mat_vec(xt, y) for y in int_rows(ann)]
     if not rows:
         return full_space(d)
     return span(nullspace(rows, d))

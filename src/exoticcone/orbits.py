@@ -34,6 +34,8 @@ from .linalg import (
     frac,
     full_space,
     identity,
+    int_multiple,
+    int_rows,
     map_image,
     map_preimage,
     mat_mul,
@@ -90,9 +92,9 @@ def standard_form(n: int) -> SymplecticSpace:
     if n < 1:
         raise DomainError("standard form needs n >= 1")
     d = 2 * n
-    om = [[Fraction(0)] * d for _ in range(d)]
+    om = [[0] * d for _ in range(d)]
     for i in range(d):
-        om[i][d - 1 - i] = Fraction(1 if i < n else -1)
+        om[i][d - 1 - i] = 1 if i < n else -1
     return SymplecticSpace(n=n, omega=_freeze_mat(om))
 
 
@@ -140,7 +142,8 @@ def is_nilpotent(x) -> bool:
     d = len(x)
     if d == 0:
         return True
-    power = [list(row) for row in x]
+    xi = int_multiple(x)
+    power = xi
     prev = d
     while True:
         r = rank(power)
@@ -149,13 +152,13 @@ def is_nilpotent(x) -> bool:
         if r == prev:
             return False
         prev = r
-        power = mat_mul(power, [list(row) for row in x])
+        power = mat_mul(power, xi)
 
 
 def form_compatible(x, space: SymplecticSpace) -> bool:
     """x is self-adjoint for the form: x^T omega = omega x."""
-    om = space.omega_rows()
-    xm = [list(row) for row in x]
+    om = int_multiple(space.omega_rows())
+    xm = int_multiple(x)
     return linalg.mat_eq(mat_mul(transpose(xm), om), mat_mul(om, xm))
 
 
@@ -176,7 +179,7 @@ def solve_symplectic_form(x) -> tuple:
     t = 1, 2, ... until the determinant is nonzero; if the determinant
     vanishes identically no such form exists and the input is rejected.
     """
-    xm = to_mat(x)
+    xm = int_multiple(to_mat(x))
     d = len(xm)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
     index = {p: k for k, p in enumerate(pairs)}
@@ -192,7 +195,7 @@ def solve_symplectic_form(x) -> tuple:
     for a in range(d):
         for b in range(a, d):
             # (x^T omega - omega x)[a][b] as a linear form in the coeffs
-            row = [Fraction(0)] * len(pairs)
+            row = [0] * len(pairs)
             for k in range(d):
                 if xm[k][a]:
                     _accumulate(row, index, k, b, xm[k][a])
@@ -230,14 +233,14 @@ def _accumulate(row, index, i, j, weight):
 
 def centralizer_basis(x) -> list:
     """Basis of {y : x y = y x}, the nullspace of the commutator map."""
-    xm = to_mat(x)
+    xm = int_multiple(to_mat(x))
     d = len(xm)
     if d == 0:
         return []
     rows = []
     for a in range(d):
         for b in range(d):
-            row = [Fraction(0)] * (d * d)
+            row = [0] * (d * d)
             for k in range(d):
                 if xm[a][k]:
                     row[k * d + b] += xm[a][k]
@@ -256,7 +259,10 @@ def centralizer_basis(x) -> list:
 
 def exv_module(pair: ExoticPair) -> Subspace:
     """Span of y v over y commuting with x; always x-stable."""
-    vecs = [mat_vec(y, pair.v_vec()) for y in centralizer_basis(pair.x_rows())]
+    v = int_rows([pair.v_vec()])[0]
+    vecs = [
+        mat_vec(int_multiple(y), v) for y in centralizer_basis(pair.x_rows())
+    ]
     return span(vecs) if vecs else zero_space()
 
 
@@ -273,44 +279,22 @@ def jordan_type(x, subspace: Subspace | None = None,
     d = len(xm)
     if subspace is not None and quotient_by is not None:
         raise DomainError("pass a subspace or a quotient, not both")
-
-    if subspace is not None:
-        if not _is_stable(xm, subspace):
+    for sub in (subspace, quotient_by):
+        if sub is not None and not _is_stable(xm, sub):
             raise DomainError("subspace is not x-stable")
-        dim0 = sub_dim(subspace)
-
-        def rank_of_power(k):
-            vecs = [list(row) for row in subspace]
-            for _ in range(k):
-                vecs = [mat_vec(xm, u) for u in vecs]
-            return rank(vecs) if vecs else 0
-
-    elif quotient_by is not None:
-        if not _is_stable(xm, quotient_by):
-            raise DomainError("subspace is not x-stable")
-        s = sub_dim(quotient_by)
-        dim0 = d - s
-
-        def rank_of_power(k):
-            power = linalg.mat_pow(xm, k)
-            stacked = [list(col) for col in transpose(power)]
-            stacked.extend(list(row) for row in quotient_by)
-            return rank(stacked) - s
-
-    else:
-        dim0 = d
-
-        def rank_of_power(k):
-            return rank(linalg.mat_pow(xm, k))
-
-    ranks = [dim0]
-    k = 1
+    # x^k of the space is spanned by vecs after k steps; on the quotient
+    # its rank is that of vecs together with the quotient's rows, less s
+    vecs = int_rows(identity(d) if subspace is None else subspace)
+    fixed = int_rows(quotient_by or ())
+    s = len(fixed)
+    xi = int_multiple(xm)
+    ranks = [len(vecs) - s]
     while ranks[-1] > 0:
-        r = rank_of_power(k)
+        vecs = [w for w in (mat_vec(xi, u) for u in vecs) if any(w)]
+        r = rank(vecs + fixed) - s
         if r == ranks[-1]:
             raise DomainError("endomorphism is not nilpotent on this space")
         ranks.append(r)
-        k += 1
     blocks_ge = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
     parts = []
     for size in range(1, len(blocks_ge) + 1):
@@ -344,7 +328,10 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
         raise DomainError("x is not nilpotent")
     if pair.space is not None and not form_compatible(xm, pair.space):
         raise DomainError("x is not self-adjoint for the supplied form")
-    exv = exv_module(pair)
+    return _orbit_from_module(xm, exv_module(pair))
+
+
+def _orbit_from_module(xm, exv: Subspace) -> Bipartition:
     mu = de_double(jordan_type(xm, subspace=exv))
     nu = de_double(jordan_type(xm, quotient_by=exv))
     return Bipartition(mu, nu)
@@ -364,23 +351,23 @@ def representative(b: Bipartition) -> ExoticPair:
         for i in range(k)
     ]
     d = 2 * sum(sizes)
-    x = [[Fraction(0)] * d for _ in range(d)]
-    om = [[Fraction(0)] * d for _ in range(d)]
-    v = [Fraction(0)] * d
+    x = [[0] * d for _ in range(d)]
+    om = [[0] * d for _ in range(d)]
+    v = [0] * d
     offset = 0
     for i, m in enumerate(sizes):
         e0, f0 = offset, offset + m
         for t in range(1, m):
             # chains e_{t+1} -> e_t and f_{t+1} -> f_t
-            x[e0 + t - 1][e0 + t] = Fraction(1)
-            x[f0 + t - 1][f0 + t] = Fraction(1)
+            x[e0 + t - 1][e0 + t] = 1
+            x[f0 + t - 1][f0 + t] = 1
         for s in range(m):
             # <e_s, f_t> = 1 when s + t = m - 1 (0-indexed antidiagonal)
-            om[e0 + s][f0 + m - 1 - s] = Fraction(1)
-            om[f0 + m - 1 - s][e0 + s] = Fraction(-1)
+            om[e0 + s][f0 + m - 1 - s] = 1
+            om[f0 + m - 1 - s][e0 + s] = -1
         height = b.mu[i] if i < len(b.mu) else 0
         if height > 0:
-            v[e0 + height - 1] = Fraction(1)
+            v[e0 + height - 1] = 1
         offset += 2 * m
     space = SymplecticSpace(n=b.size, omega=_freeze_mat(om)) if d else None
     pair = ExoticPair(v=tuple(v), x=_freeze_mat(x), space=space)
@@ -395,10 +382,10 @@ def representative(b: Bipartition) -> ExoticPair:
 
 def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
     """{w : <w, u> = 0 for all u in the subspace}."""
-    om = space.omega_rows()
     if not sub:
         return full_space(space.dim)
-    rows = [mat_vec(om, list(u)) for u in sub]
+    om = int_multiple(space.omega_rows())
+    rows = [mat_vec(om, u) for u in int_rows(sub)]
     return span(nullspace(rows, space.dim))
 
 
@@ -452,17 +439,16 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     return True
 
 
-def _seed_subspaces(pair: ExoticPair) -> set:
+def _seed_subspaces(pair: ExoticPair, exv: Subspace) -> set:
     d = pair.dim
-    xm = pair.x_rows()
-    seeds = {zero_space(), full_space(d)}
+    xm = int_multiple(pair.x_rows())
+    seeds = {zero_space(), full_space(d), exv}
     # the x-chain through v (each member is an iterated image of the line)
-    u = pair.v_vec()
+    u = int_rows([pair.v_vec()])[0]
     while any(u):
         seeds.add(span([u]))
         u = mat_vec(xm, u)
-    seeds.add(exv_module(pair))
-    power = identity(d)
+    power = int_rows(identity(d))
     for _ in range(d):
         power = mat_mul(xm, power)
         image = span([list(col) for col in transpose(power)])
@@ -526,6 +512,9 @@ def _assemble(pair, b, profile, lattice):
             del chosen[a]
 
     descend(hi, {})
+    # descend holds itself through its closure; dropping the name breaks
+    # that cycle, so by_level is freed now, not at the next full collection
+    del descend
     unique = {}
     for filt in found:
         unique[filt.subspaces] = filt
@@ -550,10 +539,11 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
     xm = pair.x_rows()
     if not in_exotic_cone(pair):
         raise DomainError("pair is not in the exotic cone for this form")
-    b = orbit_of(pair)
+    exv = exv_module(pair)
+    b = _orbit_from_module(xm, exv)
     profile = filtration_dims(b)
     d = pair.dim
-    lattice = _seed_subspaces(pair)
+    lattice = _seed_subspaces(pair, exv)
     frontier = set(lattice)
 
     for depth in range(closure_depth + 1):
@@ -604,13 +594,10 @@ def random_symplectic(space: SymplecticSpace, seed: int,
     om = space.omega_rows()
     g = identity(d)
     for _ in range(count):
-        u = [Fraction(rng.randint(-2, 2)) for _ in range(d)]
+        u = [rng.randint(-2, 2) for _ in range(d)]
         om_u = mat_vec(om, u)
         trans = [
-            [
-                (Fraction(1) if i == j else Fraction(0)) + u[i] * om_u[j]
-                for j in range(d)
-            ]
+            [int(i == j) + u[i] * om_u[j] for j in range(d)]
             for i in range(d)
         ]
         g = mat_mul(trans, g)
@@ -624,8 +611,8 @@ def conjugate_pair(pair: ExoticPair, g) -> ExoticPair:
     gm = to_mat(g)
     g_inv = linalg.inverse(gm)
     return ExoticPair(
-        v=tuple(mat_vec(gm, pair.v_vec())),
-        x=_freeze_mat(mat_mul(gm, mat_mul(pair.x_rows(), g_inv))),
+        v=tuple(to_vec(mat_vec(gm, pair.v_vec()))),
+        x=_freeze_mat(to_mat(mat_mul(gm, mat_mul(pair.x_rows(), g_inv)))),
         space=pair.space,
     )
 
@@ -651,7 +638,9 @@ def pair_from_json(obj) -> ExoticPair:
     if not isinstance(obj, dict):
         raise DomainError("pair document must be a JSON object")
     try:
-        n = int(obj["n"])
+        n = obj["n"]
+        if type(n) is not int:
+            raise DomainError(f"n must be an integer: {n!r}")
         v = to_vec(obj["v"])
         x = to_mat(obj["x"])
     except KeyError as exc:

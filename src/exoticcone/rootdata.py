@@ -26,7 +26,7 @@ Weight = tuple  # tuple[int, ...]
 
 def check_weight(lam) -> Weight:
     lam = tuple(lam)
-    if not all(isinstance(c, int) for c in lam):
+    if not all(type(c) is int for c in lam):
         raise DomainError(f"weight coordinates must be integers: {lam!r}")
     return lam
 

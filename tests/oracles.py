@@ -1,6 +1,8 @@
 """Independent brute-force oracles used only by the test suite."""
 
-from exoticcone.linalg import nonneg_combination
+from fractions import Fraction
+
+from exoticcone.linalg import Mat, frac, nonneg_combination
 from exoticcone.rootdata import weyl_orbit
 
 
@@ -54,3 +56,51 @@ def hull_contains_prefix(lam, mu) -> bool:
         if run < 0:
             return False
     return True
+
+
+# -- Gauss-Jordan elimination over Fraction: the reference for linalg --------
+
+def rref(rows) -> tuple[list, list]:
+    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
+    m = [[frac(x) for x in row] for row in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m[:r], pivots
+
+
+def det(a: Mat) -> Fraction:
+    d = len(a)
+    m = [[frac(x) for x in row] for row in a]
+    sign = 1
+    out = Fraction(1)
+    for c in range(d):
+        pivot = next((i for i in range(c, d) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        out *= m[c][c]
+        inv = 1 / m[c][c]
+        for i in range(c + 1, d):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return sign * out

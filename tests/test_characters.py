@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exoticcone import characters
 from exoticcone.characters import (
     all_weights,
     dominant_cone_weights,
@@ -9,7 +10,7 @@ from exoticcone.characters import (
     weight_mult_oracle,
     weyl_dim,
 )
-from exoticcone.errors import DomainError
+from exoticcone.errors import DomainError, InternalInconsistency
 from exoticcone.rootdata import (
     dominant_rep,
     in_conv,
@@ -45,6 +46,14 @@ def test_weyl_dim_examples():
     assert weyl_dim((1, 0, 0)) == 6
     with pytest.raises(DomainError):
         weyl_dim((0, 1))
+
+
+def test_weyl_dim_raises_on_a_non_integral_product(monkeypatch):
+    # a wrong rho makes the product formula non-integral for mu = (1, 0):
+    # 3/2 * 5/4 * 4/3 * 1 = 5/2
+    monkeypatch.setattr(characters, "rho", lambda n: (3, 1))
+    with pytest.raises(InternalInconsistency):
+        weyl_dim((1, 0))
 
 
 def test_all_weights_examples():

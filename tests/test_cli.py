@@ -127,6 +127,24 @@ def test_malformed_json_is_positioned():
     assert "line" in err and "column" in err
 
 
+def test_json_booleans_and_fractional_n_are_rejected(tmp_path):
+    code, out, err = invoke("kostant", "--kind", "p", "--mu", "[true,false]")
+    assert code == 1 and out == ""
+    assert "integers" in err
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(
+        {"n": 1, "v": [True, False], "x": [[0, 0], [0, 0]]}
+    ))
+    code, out, err = invoke("orbit-identify", "--file", str(path))
+    assert code == 1 and out == ""
+    assert "True" in err
+    for n in (True, 1.9):
+        path.write_text(json.dumps({"n": n, "v": [1, 0], "x": [[0, 0]] * 2}))
+        code, out, err = invoke("orbit-identify", "--file", str(path))
+        assert code == 1 and out == ""
+        assert "n must be an integer" in err
+
+
 def test_rank_cap_names_knob():
     code, _, err = invoke("poset", "--n", "99")
     assert code == 1

@@ -29,6 +29,8 @@ from exoticcone.linalg import (
     sub_leq,
     zero_space,
 )
+from oracles import det as oracle_det
+from oracles import rref as oracle_rref
 
 small_mat = st.integers(-4, 4)
 
@@ -48,6 +50,8 @@ def test_frac_parses_strings():
         frac("1/0")
     with pytest.raises(DomainError):
         frac(1.5)
+    with pytest.raises(DomainError):
+        frac(True)
 
 
 def test_rref_known():
@@ -167,3 +171,96 @@ def test_mat_pow_and_transpose():
     x = [[0, 1], [0, 0]]
     assert linalg.mat_pow(x, 2) == [[0, 0], [0, 0]]
     assert linalg.transpose([[1, 2], [3, 4]]) == [[1, 3], [2, 4]]
+
+
+# -- the fraction-free core against the Fraction Gauss-Jordan oracle ---------
+
+rational = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Small rational matrices, often rank-deficient, with zero rows and
+    columns and some entries given as "p/q" strings."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(rational, min_size=ncols, max_size=ncols)
+    rows = [[Fraction(x) for x in r] for r in draw(st.lists(row, max_size=4))]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.lists(rational, min_size=2, max_size=2))
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(
+            st.integers(0, len(rows) - 1)
+        )
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * ncols)
+    if rows and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = Fraction(0)
+    as_text = draw(st.sets(st.integers(0, 8 * ncols)))
+    return [
+        [
+            f"{x.numerator}/{x.denominator}" if i * ncols + j in as_text else x
+            for j, x in enumerate(r)
+        ]
+        for i, r in enumerate(rows)
+    ]
+
+
+def all_fractions(rows) -> bool:
+    return all(type(x) is Fraction for row in rows for x in row)
+
+
+def oracle_nullspace(rows, ncols):
+    red, pivots = oracle_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[free]
+            basis.append(v)
+    return basis
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_elimination_agrees_with_fraction_oracle(m):
+    ncols = len(m[0]) if m else 0
+    red, pivots = rref(m)
+    assert (red, pivots) == oracle_rref(m)
+    assert all_fractions(red)
+    assert rank(m) == len(red)
+    basis = nullspace(m, ncols)
+    assert basis == oracle_nullspace(m, ncols)
+    assert all_fractions(basis)
+    k = min(len(m), ncols)
+    square = [row[:k] for row in m[:k]]
+    value = det(square)
+    assert value == oracle_det(square)
+    assert type(value) is Fraction
+    if value:
+        augmented = [
+            list(row) + [int(i == j) for j in range(k)]
+            for i, row in enumerate(square)
+        ]
+        inv = inverse(square)
+        assert inv == [row[k:] for row in oracle_rref(augmented)[0]]
+        assert all_fractions(inv)
+    else:
+        with pytest.raises(DomainError):
+            inverse(square)
+
+
+def test_elimination_of_empty_inputs_matches_oracle():
+    assert rref([]) == oracle_rref([]) == ([], [])
+    assert rref([[], []]) == oracle_rref([[], []])
+    assert rank([]) == 0
+    assert nullspace([], 2) == oracle_nullspace([], 2)
+    assert det([]) == oracle_det([]) == 1
+    assert type(det([])) is Fraction
+    assert inverse([]) == []

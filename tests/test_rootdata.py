@@ -9,6 +9,7 @@ from exoticcone.errors import DomainError
 from exoticcone.rootdata import (
     SignedPermutation,
     bwb,
+    check_weight,
     coroot_pairing,
     dominant_rep,
     in_conv,
@@ -34,6 +35,12 @@ def weights(n, bound=5):
 
 def dominant_weights(n, bound=4):
     return weights(n, bound).map(lambda w: dominant_rep(w)[0])
+
+
+def test_check_weight_rejects_booleans():
+    assert check_weight([1, 0]) == (1, 0)
+    with pytest.raises(DomainError):
+        check_weight((True, False))
 
 
 W2 = list(signed_permutations(2))
