@@ -32,6 +32,17 @@ from .rootdata import (
 
 _tables = {}
 _tables_lock = threading.Lock()
+_cache_cap = 1 << 19
+
+
+def configure_cache(max_entries: int) -> None:
+    """Cap the total entries kept over all Freudenthal tables (eviction:
+    clear)."""
+    global _cache_cap
+    with _tables_lock:
+        _cache_cap = max(max_entries, 1)
+        if sum(map(len, _tables.values())) > _cache_cap:
+            _tables.clear()
 
 
 def _norm2(vec) -> int:
@@ -123,7 +134,10 @@ def _freudenthal_table(mu) -> dict:
             table[lam] = int(mult)
 
     with _tables_lock:
-        _tables[mu] = table
+        if sum(map(len, _tables.values())) + len(table) > _cache_cap:
+            _tables.clear()
+        if len(table) <= _cache_cap:
+            _tables[mu] = table
     return table
 
 

@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from . import bipartitions as bp
-from . import kostant, orbits, sections
+from . import characters, kostant, orbits, sections
 from .config import Config, load_config
 from .errors import (
     EXIT_DOMAIN,
@@ -25,7 +25,6 @@ from .errors import (
     InternalInconsistency,
 )
 from .rootdata import bwb as bwb_op
-from .characters import all_weights
 
 
 def _parse_json_arg(text: str, what: str):
@@ -60,6 +59,15 @@ def _ranked_weight(args, attr: str, cfg: Config, what: str) -> tuple:
     return lam
 
 
+def _check_degree(weight: tuple, cfg: Config, what: str):
+    size = sum(abs(c) for c in weight)
+    if size > cfg.degree_cap:
+        raise CapExceeded(
+            "degree_cap",
+            f"|{what}|={size} exceeds degree_cap={cfg.degree_cap}",
+        )
+
+
 def _load_pair(path: str) -> orbits.ExoticPair:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -87,6 +95,8 @@ def _bipartition_args(args) -> bp.Bipartition:
 def _cmd_mult(args, cfg):
     mu = _ranked_weight(args, "mu", cfg, "mu")
     lam = _ranked_weight(args, "lam", cfg, "lambda")
+    _check_degree(mu, cfg, "mu")
+    _check_degree(lam, cfg, "lambda")
     out = {}
     if args.route in ("a", "both"):
         out["a"] = sections.h0_mult(mu, lam)
@@ -99,6 +109,7 @@ def _cmd_mult(args, cfg):
 
 def _cmd_kostant(args, cfg):
     mu = _ranked_weight(args, "mu", cfg, "mu")
+    _check_degree(mu, cfg, "mu")
     fn = kostant.kostant_p if args.kind == "p" else kostant.kostant_p_exotic
     return {"value": fn(mu)}
 
@@ -114,12 +125,8 @@ def _cmd_bwb(args, cfg):
 
 def _cmd_weights(args, cfg):
     mu = _ranked_weight(args, "mu", cfg, "mu")
-    if sum(mu) > cfg.degree_cap:
-        raise CapExceeded(
-            "degree_cap",
-            f"|mu|={sum(mu)} exceeds degree_cap={cfg.degree_cap}",
-        )
-    table = all_weights(mu)
+    _check_degree(mu, cfg, "mu")
+    table = characters.all_weights(mu)
     entries = sorted(table.entries.items(), reverse=True)
     return {
         "highest": list(mu),
@@ -348,6 +355,7 @@ def run(argv) -> int:
         }
         cfg = load_config(args.config, overrides)
         kostant.configure_cache(cfg.cache_entries)
+        characters.configure_cache(cfg.cache_entries)
         result = args.handler(args, cfg)
     except CapExceeded as exc:
         print(f"error: {exc} (config knob: {exc.knob})", file=sys.stderr)

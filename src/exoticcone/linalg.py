@@ -1,26 +1,33 @@
 """Exact linear algebra over the rationals.
 
 Matrices are row-major lists of lists, vectors are lists; entries are ints
-or ``fractions.Fraction`` (the two interoperate exactly). A subspace is
-stored canonically as the reduced row echelon form of any spanning set, as
-a tuple of tuples of Fractions, so equal subspaces compare and hash equal.
+or ``fractions.Fraction`` (the two interoperate exactly).
 
-Elimination runs on ints. ``rref`` (and with it ``rank``, ``nullspace``,
-``solve``, ``inverse`` and ``span``) and ``det`` scale each row by the lcm
-of its denominators and run fraction-free Gauss-Jordan elimination (E. H.
-Bareiss, "Sylvester's identity and multistep integer-preserving Gaussian
-elimination", Math. Comp. 22, 1968): every update divides exactly by an
-earlier pivot, so entries stay minors of the input instead of growing
-fractions. Only the final pivot rows are turned back into Fractions, by one
-division each, which yields the same canonical form over Q. Maps and
-spanning sets are scaled to ints the same way (``int_multiple``,
-``int_rows``) before they are multiplied out for an elimination.
+Elimination runs on ints. ``rref`` (and with it ``solve`` and ``inverse``),
+``rank``, ``nullspace``, ``det`` and the subspace operations scale each row
+by the lcm of its denominators and run fraction-free Gauss-Jordan
+elimination (E. H. Bareiss, "Sylvester's identity and multistep
+integer-preserving Gaussian elimination", Math. Comp. 22, 1968): every
+update divides exactly by an earlier pivot, so entries stay minors of the
+input instead of growing fractions. ``rref`` turns only its final pivot
+rows back into Fractions, by one division each, which yields the canonical
+form over Q. Maps and spanning sets are scaled to ints the same way
+(``int_multiple``, ``int_rows``) before they are multiplied out for an
+elimination.
+
+A subspace is stored canonically as a tuple of int tuples: the rows of its
+reduced row echelon form, each scaled to the primitive int row with a
+positive pivot. Two spanning sets of one subspace give the same tuple, so
+equal subspaces compare and hash equal, and the rows never leave the
+integers; ``sub_rref`` gives the reduced rows over Q as Fractions. The
+intersection of two subspaces is one elimination of stacked rows
+(Zassenhaus), and kernels come from one int routine (``int_kernel``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DomainError, InternalInconsistency
 
@@ -66,7 +73,7 @@ def to_mat(rows) -> Mat:
 
 
 def identity(d: int) -> Mat:
-    return [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
+    return [[int(i == j) for j in range(d)] for i in range(d)]
 
 
 def zero_vec(d: int) -> Vec:
@@ -213,28 +220,46 @@ def rref(rows) -> tuple[list, list]:
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(int_rows(rows))[0])
+
+
+def int_kernel(rows, ncols: int) -> dict:
+    """Int basis of {x : A x = 0} for int rows A, keyed by free column in
+    increasing order.
+
+    The vector of the free column f is nullspace's vector for f times the
+    lcm P of the pivots of the eliminated rows that are nonzero at f: P
+    at f, -P * row[f] / pivot at each such row's pivot column, 0
+    elsewhere.
+    """
+    m = list(rows)
+    pivots, _ = _echelon(m)
+    pivot_set = set(pivots)
+    basis = {}
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        hits = [(row, c) for row, c in zip(m, pivots) if row[free]]
+        scale = lcm(*[row[c] for row, c in hits])
+        v = [0] * ncols
+        v[free] = scale
+        for row, c in hits:
+            v[c] = -row[free] * scale // row[c]
+        basis[free] = v
+    return basis
 
 
 def nullspace(rows, ncols: int | None = None) -> list:
-    """Basis of {x : A x = 0}; ``ncols`` is required when A has no rows."""
+    """Basis of {x : A x = 0}, the vector of each free column having 1
+    there, as Fractions; ``ncols`` is required when A has no rows."""
     if ncols is None:
         if not rows:
             raise DomainError("nullspace of empty system needs ncols")
         ncols = len(rows[0])
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = zero_vec(ncols)
-        v[free] = _ONE
-        for row, p in zip(red, pivots):
-            if row[free]:
-                v[p] = -row[free]
-        basis.append(v)
-    return basis
+    return [
+        [_ratio(x, v[free]) for x in v]
+        for free, v in int_kernel(int_rows(rows), ncols).items()
+    ]
 
 
 def solve(a: Mat, b: Vec):
@@ -276,15 +301,44 @@ def inverse(a: Mat) -> Mat:
 
 
 # -- subspaces (canonical row spans) ----------------------------------------
+#
+# The functions below take subspaces in the canonical form that span
+# returns (tuples of int tuples) and reduce them without converting.
+
+def _primitive(row, c) -> tuple:
+    """The int row divided by the gcd of its entries, signed so that the
+    entry in column c is positive."""
+    g = gcd(*row)
+    if row[c] < 0:
+        g = -g
+    return tuple(row) if g == 1 else tuple(x // g for x in row)
+
+
+def int_span(rows) -> Subspace:
+    """Canonical form of the span of int rows."""
+    m = list(rows)
+    pivots, _ = _echelon(m)
+    return tuple(_primitive(row, c) for row, c in zip(m, pivots))
+
 
 def span(vectors) -> Subspace:
-    """Canonical form of the span of the given vectors."""
-    red, _ = rref(vectors)
-    return tuple(tuple(row) for row in red)
+    """Canonical form of the span of the given vectors: the rows of the
+    reduced row echelon form, each scaled to the primitive int row with
+    a positive pivot."""
+    return int_span(int_rows(vectors))
+
+
+def sub_rref(s: Subspace) -> tuple:
+    """The reduced row echelon rows of a subspace, as Fractions."""
+    out = []
+    for row in s:
+        p = next(x for x in row if x)
+        out.append(tuple(_ratio(x, p) for x in row))
+    return tuple(out)
 
 
 def full_space(d: int) -> Subspace:
-    return tuple(tuple(row) for row in identity(d))
+    return tuple(map(tuple, identity(d)))
 
 
 def zero_space() -> Subspace:
@@ -307,43 +361,49 @@ def _in_span(echelon: Mat, v: Vec) -> bool:
 
 
 def contains(s: Subspace, vec) -> bool:
-    return _in_span(int_rows(s), _int_row(vec)[0])
+    return _in_span(s, _int_row(vec)[0])
 
 
 def sub_leq(a: Subspace, b: Subspace) -> bool:
-    echelon = int_rows(b)
-    return all(_in_span(echelon, row) for row in int_rows(a))
+    return all(_in_span(b, row) for row in a)
 
 
 def sub_add(a: Subspace, b: Subspace) -> Subspace:
-    return span(list(a) + list(b))
+    return int_span(a + b)
 
 
 def sub_intersect(a: Subspace, b: Subspace, d: int) -> Subspace:
-    """Intersection of two row spans inside an ambient space of dim d."""
+    """Intersection of two row spans inside an ambient space of dim d.
+
+    One elimination of the rows (u | u) for u in a and (w | 0) for w in b
+    (Zassenhaus): the row space holds (0 | y) exactly when y lies in both,
+    so the eliminated rows with their pivot in the right half are (0 | y)
+    for the reduced echelon rows y of the intersection.
+    """
     if not a or not b:
         return zero_space()
-    ann_a = nullspace([list(r) for r in a], d)
-    ann_b = nullspace([list(r) for r in b], d)
-    joint = ann_a + ann_b
-    if not joint:
-        return full_space(d)
-    return span(nullspace(joint, d))
+    zero = (0,) * d
+    m = [u + u for u in a] + [w + zero for w in b]
+    pivots, _ = _echelon(m)
+    return tuple(
+        _primitive(row[d:], c - d)
+        for row, c in zip(m, pivots) if c >= d
+    )
 
 
 def map_image(x: Mat, s: Subspace) -> Subspace:
     xi = int_multiple(x)
-    return span([mat_vec(xi, row) for row in int_rows(s)])
+    return int_span([mat_vec(xi, row) for row in s])
 
 
 def map_preimage(x: Mat, s: Subspace, d: int) -> Subspace:
     """{w : x w lies in the row span s}."""
-    ann = nullspace([list(r) for r in s], d) if s else identity(d)
+    ann = int_kernel(s, d).values() if s else full_space(d)
     xt = int_multiple(transpose(x))
-    rows = [mat_vec(xt, y) for y in int_rows(ann)]
+    rows = [mat_vec(xt, y) for y in ann]
     if not rows:
         return full_space(d)
-    return span(nullspace(rows, d))
+    return int_span(int_kernel(rows, d).values())
 
 
 # -- exact linear feasibility ------------------------------------------------

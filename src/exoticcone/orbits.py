@@ -34,8 +34,10 @@ from .linalg import (
     frac,
     full_space,
     identity,
+    int_kernel,
     int_multiple,
     int_rows,
+    int_span,
     map_image,
     map_preimage,
     mat_mul,
@@ -47,6 +49,7 @@ from .linalg import (
     sub_dim,
     sub_intersect,
     sub_leq,
+    sub_rref,
     to_mat,
     to_vec,
     transpose,
@@ -232,7 +235,7 @@ def _accumulate(row, index, i, j, weight):
 
 
 def centralizer_basis(x) -> list:
-    """Basis of {y : x y = y x}, the nullspace of the commutator map."""
+    """Int basis of {y : x y = y x}, the kernel of the commutator map."""
     xm = int_multiple(to_mat(x))
     d = len(xm)
     if d == 0:
@@ -248,10 +251,7 @@ def centralizer_basis(x) -> list:
                     row[a * d + k] -= xm[k][b]
             if any(row):
                 rows.append(row)
-    if not rows:
-        flat_basis = identity(d * d)
-    else:
-        flat_basis = nullspace(rows, d * d)
+    flat_basis = int_kernel(rows, d * d).values()
     return [
         [vec[i * d:(i + 1) * d] for i in range(d)] for vec in flat_basis
     ]
@@ -260,10 +260,8 @@ def centralizer_basis(x) -> list:
 def exv_module(pair: ExoticPair) -> Subspace:
     """Span of y v over y commuting with x; always x-stable."""
     v = int_rows([pair.v_vec()])[0]
-    vecs = [
-        mat_vec(int_multiple(y), v) for y in centralizer_basis(pair.x_rows())
-    ]
-    return span(vecs) if vecs else zero_space()
+    vecs = [mat_vec(y, v) for y in centralizer_basis(pair.x_rows())]
+    return int_span(vecs)
 
 
 def _is_stable(x, sub: Subspace) -> bool:
@@ -284,7 +282,7 @@ def jordan_type(x, subspace: Subspace | None = None,
             raise DomainError("subspace is not x-stable")
     # x^k of the space is spanned by vecs after k steps; on the quotient
     # its rank is that of vecs together with the quotient's rows, less s
-    vecs = int_rows(identity(d) if subspace is None else subspace)
+    vecs = identity(d) if subspace is None else int_rows(subspace)
     fixed = int_rows(quotient_by or ())
     s = len(fixed)
     xi = int_multiple(xm)
@@ -385,17 +383,23 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
     if not sub:
         return full_space(space.dim)
     om = int_multiple(space.omega_rows())
-    rows = [mat_vec(om, u) for u in int_rows(sub)]
-    return span(nullspace(rows, space.dim))
+    rows = [mat_vec(om, u) for u in sub]
+    return int_span(int_kernel(rows, space.dim).values())
 
 
 @dataclass(frozen=True)
 class IsotropicFiltration:
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
-    saturated range; outside it the chain is the full space or zero."""
+    saturated range; outside it the chain is the full space or zero.
+    Each level may be given by any spanning rows; it is stored in the
+    canonical form of ``span``."""
 
     space: SymplecticSpace
     subspaces: tuple  # sorted ((a, Subspace), ...)
+
+    def __post_init__(self):
+        levels = tuple((a, span(sub)) for a, sub in self.subspaces)
+        object.__setattr__(self, "subspaces", levels)
 
     def level(self, a: int) -> Subspace:
         lo, hi = self.subspaces[0][0], self.subspaces[-1][0]
@@ -409,7 +413,8 @@ class IsotropicFiltration:
         return self.subspaces[0][0], self.subspaces[-1][0]
 
     def as_dict(self) -> dict:
-        return dict(self.subspaces)
+        """Each level's reduced row echelon rows, as Fractions."""
+        return {a: sub_rref(sub) for a, sub in self.subspaces}
 
 
 def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
@@ -446,13 +451,13 @@ def _seed_subspaces(pair: ExoticPair, exv: Subspace) -> set:
     # the x-chain through v (each member is an iterated image of the line)
     u = int_rows([pair.v_vec()])[0]
     while any(u):
-        seeds.add(span([u]))
+        seeds.add(int_span([u]))
         u = mat_vec(xm, u)
-    power = int_rows(identity(d))
+    power = identity(d)
     for _ in range(d):
         power = mat_mul(xm, power)
-        image = span([list(col) for col in transpose(power)])
-        kernel = span(nullspace(power, d))
+        image = int_span(transpose(power))
+        kernel = int_span(int_kernel(power, d).values())
         seeds.add(image)
         seeds.add(kernel)
         if not image:

@@ -104,3 +104,34 @@ def det(a: Mat) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return sign * out
+
+
+def nullspace(rows, ncols) -> list:
+    """Basis of {x : A x = 0} from the Fraction rref, one vector per free
+    column, with 1 there."""
+    red, pivots = rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free not in pivots:
+            v = [Fraction(0)] * ncols
+            v[free] = Fraction(1)
+            for row, p in zip(red, pivots):
+                v[p] = -row[free]
+            basis.append(v)
+    return basis
+
+
+def span(vectors) -> tuple:
+    """The reduced row echelon rows over Q of a span, as Fraction tuples."""
+    return tuple(tuple(row) for row in rref(vectors)[0])
+
+
+def sub_intersect(a, b, d) -> tuple:
+    """Intersection of two row spans by four eliminations: the two
+    annihilators, the kernel of both together, and its span."""
+    if not a or not b:
+        return ()
+    joint = nullspace(a, d) + nullspace(b, d)
+    if not joint:
+        return span([[int(i == j) for j in range(d)] for i in range(d)])
+    return span(nullspace(joint, d))

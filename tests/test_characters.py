@@ -131,3 +131,15 @@ def test_non_dominant_mu_rejected():
         weight_mult((0, 1), (0, 0))
     with pytest.raises(DomainError):
         weight_mult_oracle((0, 1), (0, 0))
+
+
+def test_table_cache_cap_keeps_answers_correct():
+    mus = [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (2, 1, 1)]
+    characters.configure_cache(4)
+    try:
+        for mu in mus:
+            for lam in dominant_cone_weights(mu):
+                assert weight_mult_oracle(mu, lam) == weight_mult(mu, lam)
+                assert sum(map(len, characters._tables.values())) <= 4
+    finally:
+        characters.configure_cache(1 << 19)

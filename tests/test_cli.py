@@ -154,6 +154,24 @@ def test_rank_cap_names_knob():
     assert "degree_cap" in err
 
 
+def test_degree_cap_guards_mult_and_kostant():
+    for argv in (
+        ("kostant", "--kind", "p'", "--mu", "[40,0,0,0,0,0,0,0]"),
+        ("kostant", "--kind", "p", "--mu", "[-7,7]"),
+        ("mult", "--mu", "[13,0]", "--lambda", "[0,0]"),
+        ("mult", "--mu", "[1,0]", "--lambda", "[-7,6]"),
+        ("--degree-cap", "3", "weights", "--mu", "[2,2]"),
+    ):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert "degree_cap" in err
+    assert invoke_json(
+        "--degree-cap", "14", "kostant", "--kind", "p", "--mu", "[-7,7]"
+    ) == {"value": 0}
+    # bwb is a sort and stays uncapped
+    assert invoke_json("bwb", "--lambda", "[9,-9]")["zero"] is False
+
+
 def test_rank_cap_flag_override():
     code, _, err = invoke("poset", "--n", "9")
     assert code == 1

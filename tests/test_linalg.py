@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,8 @@ from exoticcone.linalg import (
     frac,
     full_space,
     identity,
+    int_kernel,
+    int_rows,
     inverse,
     map_image,
     map_preimage,
@@ -27,10 +30,14 @@ from exoticcone.linalg import (
     sub_dim,
     sub_intersect,
     sub_leq,
+    sub_rref,
     zero_space,
 )
 from oracles import det as oracle_det
+from oracles import nullspace as oracle_nullspace
 from oracles import rref as oracle_rref
+from oracles import span as oracle_span
+from oracles import sub_intersect as oracle_intersect
 
 small_mat = st.integers(-4, 4)
 
@@ -182,10 +189,11 @@ rational = st.one_of(
 
 
 @st.composite
-def rational_matrices(draw):
+def rational_matrices(draw, ncols=None):
     """Small rational matrices, often rank-deficient, with zero rows and
     columns and some entries given as "p/q" strings."""
-    ncols = draw(st.integers(1, 5))
+    if ncols is None:
+        ncols = draw(st.integers(1, 5))
     row = st.lists(rational, min_size=ncols, max_size=ncols)
     rows = [[Fraction(x) for x in r] for r in draw(st.lists(row, max_size=4))]
     for _ in range(draw(st.integers(0, 2)) if rows else 0):
@@ -212,19 +220,6 @@ def rational_matrices(draw):
 
 def all_fractions(rows) -> bool:
     return all(type(x) is Fraction for row in rows for x in row)
-
-
-def oracle_nullspace(rows, ncols):
-    red, pivots = oracle_rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free not in pivots:
-            v = [Fraction(0)] * ncols
-            v[free] = Fraction(1)
-            for row, p in zip(red, pivots):
-                v[p] = -row[free]
-            basis.append(v)
-    return basis
 
 
 @given(rational_matrices())
@@ -264,3 +259,95 @@ def test_elimination_of_empty_inputs_matches_oracle():
     assert det([]) == oracle_det([]) == 1
     assert type(det([])) is Fraction
     assert inverse([]) == []
+
+
+# -- canonical int subspaces against the Fraction oracles --------------------
+
+@st.composite
+def respanned(draw, rows):
+    """Other spanning rows of the span of rows: each scaled by a nonzero
+    rational (either sign), shuffled, plus combinations of them."""
+    nonzero = rational.filter(bool)
+    out = [[draw(nonzero) * frac(x) for x in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        coeffs = draw(st.lists(rational, min_size=len(rows),
+                               max_size=len(rows)))
+        out.append([
+            sum(c * frac(row[j]) for c, row in zip(coeffs, rows))
+            for j in range(len(rows[0]))
+        ])
+    return draw(st.permutations(out))
+
+
+@st.composite
+def related_pairs(draw):
+    """Two rational matrices of one width: often the second spans the
+    same space as the first, or shares some of its rows."""
+    ncols = draw(st.integers(1, 5))
+    a = draw(rational_matrices(ncols))
+    how = draw(st.sampled_from(("same", "share", "free")))
+    if how == "same":
+        return ncols, a, draw(respanned(a))
+    b = draw(rational_matrices(ncols))
+    if how == "share" and a:
+        b = b + draw(respanned(a[: draw(st.integers(1, len(a)))]))
+    return ncols, a, b
+
+
+def is_canonical(s) -> bool:
+    """Primitive int rows with a positive pivot, in reduced echelon form."""
+    leads = []
+    for row in s:
+        if type(row) is not tuple or not all(type(x) is int for x in row):
+            return False
+        lead = next((c for c, x in enumerate(row) if x), None)
+        if lead is None or row[lead] < 0 or gcd(*row) != 1:
+            return False
+        leads.append(lead)
+    return leads == sorted(set(leads)) and all(
+        sum(1 for row in s if row[c]) == 1 for c in leads
+    )
+
+
+@given(related_pairs())
+@settings(max_examples=100, deadline=None)
+def test_span_is_canonical_over_q(case):
+    _, a, b = case
+    sa, sb = span(a), span(b)
+    assert is_canonical(sa) and is_canonical(sb)
+    same = oracle_rref(a)[0] == oracle_rref(b)[0]
+    assert (sa == sb) == same
+    if same:
+        assert hash(sa) == hash(sb)
+    assert sub_rref(sa) == oracle_span(a)
+    assert all_fractions(sub_rref(sa))
+
+
+@given(related_pairs())
+@settings(max_examples=100, deadline=None)
+def test_intersection_agrees_with_four_elimination_oracle(case):
+    ncols, a, b = case
+    got = sub_intersect(span(a), span(b), ncols)
+    assert is_canonical(got)
+    assert sub_rref(got) == oracle_intersect(a, b, ncols)
+    assert sub_leq(got, span(a)) and sub_leq(got, span(b))
+
+
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_int_kernel_is_a_kernel_basis(m):
+    ncols = len(m[0]) if m else 3
+    exact = [[frac(x) for x in row] for row in m]
+    basis = int_kernel(int_rows(m), ncols)
+    assert len(basis) == ncols - len(oracle_rref(m)[0])
+    for free, v in basis.items():
+        assert all(type(x) is int for x in v) and v[free] > 0
+        assert not any(mat_vec(exact, v))
+    assert span(list(basis.values())) == span(oracle_nullspace(m, ncols))
+
+
+def test_subspace_rows_are_primitive_ints():
+    assert span([[Fraction(1, 2), Fraction(1, 3)]]) == ((3, 2),)
+    assert span([[-2, 4, 0], [0, 0, -3]]) == ((1, -2, 0), (0, 0, 1))
+    assert full_space(2) == ((1, 0), (0, 1))
+    assert sub_rref(((3, 2),)) == ((1, Fraction(2, 3)),)

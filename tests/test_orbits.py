@@ -292,6 +292,23 @@ def test_verify_adapted_rejects_perturbations(sample_pair_with_form):
     assert not verify_adapted(filt, moved, b)
 
 
+def test_verify_adapted_accepts_any_spanning_rows():
+    b = bipartition((1,), (1,))
+    pair = representative(b)
+    filt = adapted_filtration(pair)
+    respanned = {
+        a: [[2 * x for x in row] for row in rows]
+        + [[sum(col) for col in zip(*rows)]] * bool(rows)
+        for a, rows in filt.as_dict().items()
+    }
+    again = IsotropicFiltration(
+        space=pair.space, subspaces=tuple(sorted(respanned.items()))
+    )
+    assert again == filt
+    assert again.as_dict() == filt.as_dict()
+    assert verify_adapted(again, pair, b)
+
+
 def test_adapted_filtration_rank1_line():
     pair = representative(bipartition((1,), ()))
     filt = adapted_filtration(pair)
