@@ -14,35 +14,33 @@ The ``e_i`` basis is orthonormal, which fixes every pairing normalization.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency
 from .kostant import kostant_p
 from .rootdata import (
+    alternating_sum,
     check_weight,
     dominant_rep,
     require_dominant,
     rho,
     root_data,
-    signed_permutations,
     weyl_orbit,
 )
 
 _tables = {}
-_tables_lock = threading.Lock()
 _cache_cap = 1 << 19
 
 
 def configure_cache(max_entries: int) -> None:
     """Cap the total entries kept over all Freudenthal tables (eviction:
-    clear)."""
+    clear). Like the Kostant memo this takes no lock: a table is a function
+    of its key alone."""
     global _cache_cap
-    with _tables_lock:
-        _cache_cap = max(max_entries, 1)
-        if sum(map(len, _tables.values())) > _cache_cap:
-            _tables.clear()
+    _cache_cap = max(max_entries, 1)
+    if sum(map(len, _tables.values())) > _cache_cap:
+        _tables.clear()
 
 
 def _norm2(vec) -> int:
@@ -58,14 +56,7 @@ def weight_mult(mu, lam) -> int:
     alternating Weyl sum against the type C partition count."""
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
-    n = len(mu)
-    shifted_mu = _add(mu, rho(n))
-    shifted_lam = _add(lam, rho(n))
-    total = 0
-    for w in signed_permutations(n):
-        arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
-        total += w.sign() * kostant_p(arg)
-    return total
+    return alternating_sum(mu, lam, kostant_p)
 
 
 def dominant_cone_weights(mu) -> list:
@@ -92,8 +83,7 @@ def dominant_cone_weights(mu) -> list:
 def _freudenthal_table(mu) -> dict:
     """Multiplicities of all dominant weights of the module V_mu."""
     mu = tuple(mu)
-    with _tables_lock:
-        cached = _tables.get(mu)
+    cached = _tables.get(mu)
     if cached is not None:
         return cached
 
@@ -133,11 +123,10 @@ def _freudenthal_table(mu) -> dict:
         if mult:
             table[lam] = int(mult)
 
-    with _tables_lock:
-        if sum(map(len, _tables.values())) + len(table) > _cache_cap:
-            _tables.clear()
-        if len(table) <= _cache_cap:
-            _tables[mu] = table
+    if sum(map(len, _tables.values())) + len(table) > _cache_cap:
+        _tables.clear()
+    if len(table) <= _cache_cap:
+        _tables[mu] = table
     return table
 
 

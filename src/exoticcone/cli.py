@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bipartitions as bp
 from . import characters, kostant, orbits, sections
@@ -24,7 +23,7 @@ from .errors import (
     DomainError,
     InternalInconsistency,
 )
-from .rootdata import bwb as bwb_op
+from .rootdata import bwb as bwb_op, in_conv
 
 
 def _parse_json_arg(text: str, what: str):
@@ -72,16 +71,9 @@ def _load_pair(path: str) -> orbits.ExoticPair:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(
-            f"malformed JSON in {path} at line {exc.lineno} column "
-            f"{exc.colno} (char {exc.pos}): {exc.msg}"
-        ) from exc
-    return orbits.pair_from_json(doc)
+    return orbits.pair_from_json(_parse_json_arg(text, path))
 
 
 def _bipartition_args(args) -> bp.Bipartition:
@@ -229,8 +221,6 @@ def _sweep_cell(mu, lam):
         problems.append("route_disagreement")
     if a < 0 or b < 0:
         problems.append("negative")
-    from .rootdata import in_conv
-
     if not in_conv(lam, mu) and a != 0:
         problems.append("support")
     return {"mu": list(mu), "lambda": list(lam), "a": a, "b": b,
@@ -239,6 +229,8 @@ def _sweep_cell(mu, lam):
 
 def _cmd_sweep(args, cfg):
     _check_rank(args.n, cfg)
+    if args.bound < 0:
+        raise DomainError("bound must be nonnegative")
     if args.bound > cfg.degree_cap:
         raise CapExceeded(
             "degree_cap",
@@ -247,14 +239,12 @@ def _cmd_sweep(args, cfg):
     grid = []
     for k in range(args.bound + 1):
         grid.extend(sections.dominant_weights_of_degree(args.n, k))
-    cells = [(mu, lam) for mu in grid for lam in grid]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        results = list(pool.map(lambda c: _sweep_cell(*c), cells))
+    results = [_sweep_cell(mu, lam) for mu in grid for lam in grid]
     violations = [r for r in results if r["problems"]]
     return {
         "n": args.n,
         "bound": args.bound,
-        "cells": len(cells),
+        "cells": len(results),
         "violations": violations,
         "ok": not violations,
     }
@@ -271,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--degree-cap", type=int, dest="degree_cap")
     parser.add_argument("--closure-depth", type=int, dest="closure_depth")
     parser.add_argument("--cache-bytes", type=int, dest="cache_bytes")
-    parser.add_argument("--threads", type=int, dest="threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mult", help="section multiplicity of V_mu")
@@ -351,7 +340,7 @@ def run(argv) -> int:
         overrides = {
             key: getattr(args, key)
             for key in ("rank_cap", "degree_cap", "closure_depth",
-                        "cache_bytes", "threads")
+                        "cache_bytes")
         }
         cfg = load_config(args.config, overrides)
         kostant.configure_cache(cfg.cache_entries)

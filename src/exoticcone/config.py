@@ -24,7 +24,6 @@ class Config:
     degree_cap: int = 12
     closure_depth: int = 4
     cache_bytes: int = 1 << 26
-    threads: int = 4
 
     def __post_init__(self):
         for f in fields(self):
@@ -39,24 +38,28 @@ class Config:
 
 def _parse_file(path: str) -> dict:
     known = {f.name for f in fields(Config)}
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path}: {exc}") from exc
     out = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                out[key] = int(value.strip())
-            except ValueError as exc:
-                raise DomainError(
-                    f"{path}:{lineno}: {key} must be an integer"
-                ) from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DomainError(f"{path}:{lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in known:
+            raise DomainError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            out[key] = int(value.strip())
+        except ValueError as exc:
+            raise DomainError(
+                f"{path}:{lineno}: {key} must be an integer"
+            ) from exc
     return out
 
 

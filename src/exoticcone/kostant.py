@@ -10,20 +10,20 @@ Algorithm: recursion over a fixed summand order, memoized on
 (summand index, residual). Every summand has nonnegative prefix sums, so a
 residual with a negative prefix sum is unreachable and prunes the branch;
 the same fact bounds the per-summand coefficient, so the recursion
-terminates. The memo is shared per (rank, multiset) pair, guarded by a
-lock, and clears itself when it outgrows the configured cap.
+terminates. The memo is shared per (rank, multiset) pair and clears
+itself when it outgrows the configured cap. It takes no lock: a memo value
+is a function of its key alone, so concurrent callers can at worst
+recompute or evict an entry, never store a wrong one.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
-from .rootdata import check_weight, root_data
+from .rootdata import check_weight, in_root_cone, root_data
 
 _cache_cap = 1 << 19
 _registry = {}
-_registry_lock = threading.Lock()
 
 
 def configure_cache(max_entries: int) -> None:
@@ -32,31 +32,20 @@ def configure_cache(max_entries: int) -> None:
     if max_entries < 1:
         max_entries = 1
     _cache_cap = max_entries
-    with _registry_lock:
-        for counter in _registry.values():
-            counter.cap = max_entries
-
-
-def _prefix_ok(vec) -> bool:
-    running = 0
-    for c in vec:
-        running += c
-        if running < 0:
-            return False
-    return True
+    for counter in list(_registry.values()):
+        counter.cap = max_entries
 
 
 class _Counter:
-    __slots__ = ("summands", "memo", "lock", "cap")
+    __slots__ = ("summands", "memo", "cap")
 
     def __init__(self, summands):
         self.summands = summands
         self.memo = {}
-        self.lock = threading.Lock()
         self.cap = _cache_cap
 
     def count(self, target) -> int:
-        if not _prefix_ok(target):
+        if not in_root_cone(target):
             return 0
         return self._count(0, tuple(target))
 
@@ -75,24 +64,22 @@ class _Counter:
         while True:
             total += self._count(k + 1, r)
             r = tuple(a - b for a, b in zip(r, s))
-            if not _prefix_ok(r):
+            if not in_root_cone(r):
                 break
-        with self.lock:
-            if len(self.memo) >= self.cap:
-                self.memo.clear()
-            self.memo[key] = total
+        if len(self.memo) >= self.cap:
+            self.memo.clear()
+        self.memo[key] = total
         return total
 
 
 def _counter(n: int, exotic: bool) -> _Counter:
     key = (n, exotic)
-    with _registry_lock:
-        counter = _registry.get(key)
-        if counter is None:
-            data = root_data(n)
-            summands = data.exotic_weights if exotic else data.positive_roots
-            counter = _Counter(summands)
-            _registry[key] = counter
+    counter = _registry.get(key)
+    if counter is None:
+        data = root_data(n)
+        summands = data.exotic_weights if exotic else data.positive_roots
+        # setdefault is atomic, so racing first callers share one counter
+        counter = _registry.setdefault(key, _Counter(summands))
     return counter
 
 

@@ -412,7 +412,8 @@ def nonneg_combination(columns, target):
     """Exact feasibility of sum_j c_j * columns[j] = target with c_j >= 0.
 
     Phase-1 simplex with Bland's rule over Fractions. Returns one
-    coefficient vector, or None when infeasible.
+    coefficient vector, or None when infeasible. The library decides hull
+    membership by prefix sums instead; the tests compare that with this LP.
     """
     m = len(target)
     n = len(columns)

@@ -19,7 +19,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
-from .linalg import nonneg_combination
 
 Weight = tuple  # tuple[int, ...]
 
@@ -121,20 +120,12 @@ class RootDataC:
     ``exotic_weights`` is the positive-root multiset with every long root
     2e_i replaced by e_i; it is the torus-weight multiset of the bundle
     whose sections are counted in :mod:`exoticcone.sections`.
-    ``canonical_weight`` is (-1,...,-1), the twist by which the canonical
-    bundle of the resolution differs from the structure sheaf.
     """
 
     rank: int
     positive_roots: tuple
     exotic_weights: tuple
     rho_doubled: tuple
-    theta_doubled: tuple
-    canonical_weight: tuple
-
-    @property
-    def u_weights(self) -> tuple:
-        return self.positive_roots
 
     @property
     def rho(self) -> Weight:
@@ -164,13 +155,27 @@ def root_data(n: int) -> RootDataC:
         positive_roots=positive,
         exotic_weights=exotic,
         rho_doubled=tuple(2 * (n - i) for i in range(n)),
-        theta_doubled=(1,) * n,
-        canonical_weight=(-1,) * n,
     )
 
 
 def rho(n: int) -> Weight:
     return root_data(n).rho
+
+
+def alternating_sum(mu, lam, count) -> int:
+    """Sum over the Weyl group of sign(w) * count(w(mu + rho) - (lam + rho)).
+
+    With a partition count over the positive roots this is Kostant's
+    multiplicity formula; ``count`` is any function of one weight.
+    """
+    r = rho(len(mu))
+    shifted_mu = tuple(a + b for a, b in zip(mu, r))
+    shifted_lam = tuple(a + b for a, b in zip(lam, r))
+    total = 0
+    for w in signed_permutations(len(mu)):
+        arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
+        total += w.sign() * count(arg)
+    return total
 
 
 def is_dominant(lam) -> bool:
@@ -205,10 +210,6 @@ def dominant_rep(lam):
             signs[src] = -1
     rep = tuple(abs(lam[i]) for i in order)
     return rep, SignedPermutation(tuple(perm), tuple(signs))
-
-
-def act(w: SignedPermutation, coords):
-    return w.act(coords)
 
 
 def twisted_act(w: SignedPermutation, lam) -> Weight:
@@ -277,10 +278,19 @@ def coroot_pairing(lam, alpha) -> Fraction:
     return Fraction(2 * num, norm)
 
 
-def _cone_feasible(target, n: int) -> bool:
-    """Is target a nonnegative rational combination of the positive roots?"""
-    cols = [list(r) for r in root_data(n).positive_roots]
-    return nonneg_combination(cols, list(target)) is not None
+def in_root_cone(vec) -> bool:
+    """Is vec a nonnegative combination of the positive roots?
+
+    Over the simple roots e_i - e_{i+1} and 2 e_n the coefficients of vec
+    are its prefix sums (the last one halved), so the cone is exactly the
+    set of vectors whose prefix sums are all nonnegative.
+    """
+    running = 0
+    for c in vec:
+        running += c
+        if running < 0:
+            return False
+    return True
 
 
 def in_conv(lam, mu) -> bool:
@@ -290,7 +300,7 @@ def in_conv(lam, mu) -> bool:
     if len(lam) != len(mu):
         raise DomainError("rank mismatch")
     rep, _ = dominant_rep(lam)
-    return _cone_feasible([a - b for a, b in zip(mu, rep)], len(mu))
+    return in_root_cone([a - b for a, b in zip(mu, rep)])
 
 
 def in_conv0(lam, mu) -> bool:
@@ -311,7 +321,7 @@ def in_tconv(lam, mu) -> bool:
     a, b = _tconv_reps(lam, mu)
     if len(a) != len(b):
         raise DomainError("rank mismatch")
-    return _cone_feasible([x - y for x, y in zip(b, a)], len(a))
+    return in_root_cone([x - y for x, y in zip(b, a)])
 
 
 def in_tconv0(lam, mu) -> bool:

@@ -25,12 +25,7 @@ import itertools
 from .characters import weight_mult_oracle
 from .errors import InternalInconsistency
 from .kostant import kostant_p_exotic
-from .rootdata import (
-    in_conv,
-    require_dominant,
-    rho,
-    signed_permutations,
-)
+from .rootdata import alternating_sum, in_conv, require_dominant
 
 
 def _add(a, b):
@@ -41,13 +36,7 @@ def h0_mult(mu, lam) -> int:
     """Multiplicity of V_mu in the sections of the bundle twisted by lam."""
     mu = require_dominant(mu, "mu")
     lam = require_dominant(lam, "lambda")
-    n = len(mu)
-    shifted_mu = _add(mu, rho(n))
-    shifted_lam = _add(lam, rho(n))
-    total = 0
-    for w in signed_permutations(n):
-        arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
-        total += w.sign() * kostant_p_exotic(arg)
+    total = alternating_sum(mu, lam, kostant_p_exotic)
     if total < 0:
         raise InternalInconsistency(
             f"negative section multiplicity {total} at mu={mu}, lam={lam}"

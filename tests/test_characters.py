@@ -143,3 +143,22 @@ def test_table_cache_cap_keeps_answers_correct():
                 assert sum(map(len, characters._tables.values())) <= 4
     finally:
         characters.configure_cache(1 << 19)
+
+
+def test_table_cache_under_threads(frequent_switches):
+    # clears race with stores; a table is a function of its key, so no
+    # interleaving may change an answer
+    from concurrent.futures import ThreadPoolExecutor
+
+    mus = [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]
+    queries = [(mu, lam) for mu in mus for lam in dominant_cone_weights(mu)]
+    expected = [weight_mult(mu, lam) for mu, lam in queries]
+    characters.configure_cache(4)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            for _ in range(3):
+                got = list(pool.map(lambda q: weight_mult_oracle(*q),
+                                    queries))
+                assert got == expected
+    finally:
+        characters.configure_cache(1 << 19)

@@ -152,6 +152,9 @@ def test_rank_cap_names_knob():
     code, _, err = invoke("sweep", "--n", "2", "--bound", "99")
     assert code == 1
     assert "degree_cap" in err
+    code, out, err = invoke("sweep", "--n", "2", "--bound", "-1")
+    assert code == 1 and out == ""
+    assert "bound must be nonnegative" in err
 
 
 def test_degree_cap_guards_mult_and_kostant():
@@ -206,23 +209,37 @@ def test_mismatched_bipartition_rejected():
     assert "partition" in err
 
 
-def test_missing_pair_file():
+def test_missing_pair_file(tmp_path):
     code, _, err = invoke("orbit-identify", "--file", "/nonexistent.json")
     assert code == 1
+    latin1 = tmp_path / "pair.json"
+    latin1.write_bytes(b'{"n": 1, "v": ["\xe9"]}')
+    for path in (tmp_path, latin1):
+        for command in ("orbit-identify", "adapted"):
+            code, out, err = invoke(command, "--file", str(path))
+            assert code == 1 and out == ""
+            assert err.startswith("error: cannot read")
+            assert "Traceback" not in err
 
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg = tmp_path / "knobs.cfg"
-    cfg.write_text("rank_cap = 9\n# comment\nthreads = 2\n")
+    cfg.write_text("rank_cap = 9\n# comment\nclosure_depth = 5\n")
     monkeypatch.setenv(ENV_VAR, str(cfg))
     code, _, _ = invoke("poset", "--n", "9")
     assert code == 0
+    assert load_config().closure_depth == 5
     # flags beat the file
     code, _, err = invoke("--rank-cap", "3", "poset", "--n", "9")
     assert code == 1 and "rank_cap" in err
     monkeypatch.delenv(ENV_VAR)
     code, _, _ = invoke("poset", "--n", "9")
     assert code == 1
+    # the sweep runs single-threaded; its old worker-count knob is gone
+    cfg.write_text("threads = 2\n")
+    code, out, err = invoke("--config", str(cfg), "poset", "--n", "2")
+    assert code == 1 and out == ""
+    assert "unknown key" in err
 
 
 def test_config_validation(tmp_path):
@@ -235,6 +252,13 @@ def test_config_validation(tmp_path):
     bad.write_text("rank_cap: 3\n")
     with pytest.raises(DomainError):
         load_config(str(bad))
+    bad.write_bytes(b"rank_cap = 3 # caf\xe9\n")
+    for path in (bad, tmp_path):
+        with pytest.raises(DomainError, match="cannot read config file"):
+            load_config(str(path))
+        code, out, err = invoke("--config", str(path), "poset", "--n", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot read config file")
     assert load_config(None, {"rank_cap": 5}).rank_cap == 5
     assert Config().cache_entries >= 1024
 

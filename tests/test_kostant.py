@@ -3,6 +3,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exoticcone import kostant
 from exoticcone.kostant import (
     configure_cache,
     kostant_p,
@@ -102,12 +103,21 @@ def test_cache_cap_eviction_keeps_answers_correct():
         configure_cache(1 << 19)
 
 
-def test_thread_safety_of_memo():
+def test_thread_safety_of_memo(frequent_switches):
     from concurrent.futures import ThreadPoolExecutor
 
     grid = [
         mu for mu in itertools.product(range(-2, 5), repeat=2)
-    ]
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        parallel = list(pool.map(kostant_p, grid))
-    assert parallel == [kostant_p(mu) for mu in grid]
+    ] + [mu for mu in itertools.product(range(0, 4), repeat=3)] * 2
+    expected = [kostant_p_exotic(mu) for mu in grid]
+    # from a cold memo, threads fill shared entries at once; under cap 8
+    # clears also race with stores
+    try:
+        for cap in (1 << 19, 8):
+            configure_cache(cap)
+            for counter in kostant._registry.values():
+                counter.memo.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(kostant_p_exotic, grid)) == expected
+    finally:
+        configure_cache(1 << 19)

@@ -54,9 +54,6 @@ def test_root_data_counts_and_constants():
         assert len(data.exotic_weights) == n * n
         assert data.rho == tuple(range(n, 0, -1))
         assert data.rho_doubled == tuple(2 * (n - i) for i in range(n))
-        assert data.theta_doubled == (1,) * n
-        assert data.canonical_weight == (-1,) * n
-        assert data.u_weights == data.positive_roots
 
 
 def test_is_dominant_examples():
@@ -243,10 +240,11 @@ def test_in_tconv_examples():
 def test_in_tconv_matches_shifted_hull(lam, mu):
     # membership of 2 lam + 1 in the hull of the orbit of 2 mu + 1
     dl = tuple(2 * c + 1 for c in lam)
-    dm = tuple(2 * c + 1 for c in mu)
-    assert in_tconv(lam, mu) == hull_contains_prefix(
-        dl, dominant_rep(dm)[0]
-    )
+    dm = dominant_rep(tuple(2 * c + 1 for c in mu))[0]
+    got = in_tconv(lam, mu)
+    assert got == hull_contains_prefix(dl, dm)
+    # the LP shares no code with the prefix-sum test in the library
+    assert got == hull_contains_lp(dl, dm)
 
 
 def test_quasi_order_examples():
