@@ -39,7 +39,7 @@ def configure_cache(max_entries: int) -> None:
     of its key alone."""
     global _cache_cap
     _cache_cap = max(max_entries, 1)
-    if sum(map(len, _tables.values())) > _cache_cap:
+    if sum(map(len, list(_tables.values()))) > _cache_cap:
         _tables.clear()
 
 
@@ -123,7 +123,9 @@ def _freudenthal_table(mu) -> dict:
         if mult:
             table[lam] = int(mult)
 
-    if sum(map(len, _tables.values())) + len(table) > _cache_cap:
+    # list() copies the values in one step under the GIL; iterating the
+    # live view raised when another thread stored or cleared meanwhile
+    if sum(map(len, list(_tables.values()))) + len(table) > _cache_cap:
         _tables.clear()
     if len(table) <= _cache_cap:
         _tables[mu] = table

@@ -191,7 +191,7 @@ def _cmd_adapted(args, cfg):
         )
         solved = True
     filt = orbits.adapted_filtration(pair, closure_depth=cfg.closure_depth)
-    b = orbits.orbit_of(pair)
+    b = filt.orbit
     verified = orbits.verify_adapted(filt, pair, b)
     if not verified:
         raise InternalInconsistency("returned filtration failed verification")

@@ -133,7 +133,11 @@ def int_rows(rows) -> Mat:
 
 def int_multiple(a: Mat) -> Mat:
     """a times the lcm of all its denominators: a positive multiple with
-    int entries, so with the same kernel, image and rank of every power."""
+    int entries, so with the same kernel, image and rank of every power.
+    A matrix whose entries are all ints is returned as it is, not copied,
+    so a map scaled once can be passed on at no further cost."""
+    if all(type(x) is int for row in a for x in row):
+        return a
     rows = [_int_row(row) for row in a]
     den = lcm(*[row_den for _, row_den in rows])
     return [[x * (den // row_den) for x in ints] for ints, row_den in rows]
@@ -392,6 +396,8 @@ def sub_intersect(a: Subspace, b: Subspace, d: int) -> Subspace:
 
 
 def map_image(x: Mat, s: Subspace) -> Subspace:
+    """x applied to the subspace s; x is scaled to ints unless it
+    already is (``int_multiple``)."""
     xi = int_multiple(x)
     return int_span([mat_vec(xi, row) for row in s])
 
@@ -399,7 +405,7 @@ def map_image(x: Mat, s: Subspace) -> Subspace:
 def map_preimage(x: Mat, s: Subspace, d: int) -> Subspace:
     """{w : x w lies in the row span s}."""
     ann = int_kernel(s, d).values() if s else full_space(d)
-    xt = int_multiple(transpose(x))
+    xt = transpose(int_multiple(x))
     rows = [mat_vec(xt, y) for y in ann]
     if not rows:
         return full_space(d)

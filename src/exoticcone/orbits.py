@@ -9,6 +9,17 @@ mu mu) and on the quotient by it (nu nu). The classification never touches
 the form; the form enters only through membership checking, perps, and the
 adapted filtrations.
 
+E^x v = z(x) v is the smallest subspace that contains v and is stable
+under every map commuting with x (hyperinvariant). For nilpotent x the
+hyperinvariant subspaces form the lattice generated by the kernels and
+images of the powers of x, and that lattice is distributive (P. A.
+Fillmore, D. A. Herrero and W. E. Longstaff, "The hyperinvariant
+subspace lattice of a linear transformation", Linear Algebra Appl. 17,
+1977). So E^x v is the intersection, over 0 <= i < h, of the smallest
+ker x^i + im x^j that contains v, where h is the nilpotency index, and
+only d x d eliminations are needed; the centralizer itself is never
+built.
+
 All arithmetic is exact: matrices carry ints and Fractions, ranks and
 Jordan types come from echelon forms, never from floating point.
 """
@@ -16,8 +27,9 @@ Jordan types come from echelon forms, never from floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .bipartitions import Bipartition, filtration_dims
@@ -82,8 +94,11 @@ class SymplecticSpace:
     def omega_rows(self):
         return [list(row) for row in self.omega]
 
-    def pairing(self, a, b) -> Fraction:
-        return sum(x * y for x, y in zip(a, mat_vec(self.omega_rows(), b)))
+    @cached_property
+    def int_omega(self):
+        """A positive int multiple of the Gram matrix, scaled once: it has
+        the same kernels, so ``perp`` can use it on every call."""
+        return int_multiple(self.omega)
 
 
 def _freeze_mat(rows) -> tuple:
@@ -141,26 +156,17 @@ def make_pair(v, x, space: SymplecticSpace | None = None) -> ExoticPair:
 
 def is_nilpotent(x) -> bool:
     """Rank of successive powers must reach 0; a stalled nonzero rank
-    means an eigenvalue other than 0."""
-    d = len(x)
-    if d == 0:
-        return True
-    xi = int_multiple(x)
-    power = xi
-    prev = d
-    while True:
-        r = rank(power)
-        if r == 0:
-            return True
-        if r == prev:
-            return False
-        prev = r
-        power = mat_mul(power, xi)
+    means an eigenvalue other than 0 (the power loop of _power_spaces)."""
+    try:
+        _power_spaces(int_multiple(x))
+    except DomainError:
+        return False
+    return True
 
 
 def form_compatible(x, space: SymplecticSpace) -> bool:
     """x is self-adjoint for the form: x^T omega = omega x."""
-    om = int_multiple(space.omega_rows())
+    om = space.int_omega
     xm = int_multiple(x)
     return linalg.mat_eq(mat_mul(transpose(xm), om), mat_mul(om, xm))
 
@@ -235,7 +241,13 @@ def _accumulate(row, index, i, j, weight):
 
 
 def centralizer_basis(x) -> list:
-    """Int basis of {y : x y = y x}, the kernel of the commutator map."""
+    """Int basis of {y : x y = y x}, the kernel of the commutator map.
+
+    A kernel in d^2 unknowns. The library no longer calls it: E^x v comes
+    from kernels and images of powers of x (``exv_module``). It stays as
+    the oracle that the tests check ``exv_module`` against, and under
+    this name because the benchmark's tracer looks it up.
+    """
     xm = int_multiple(to_mat(x))
     d = len(xm)
     if d == 0:
@@ -257,11 +269,66 @@ def centralizer_basis(x) -> list:
     ]
 
 
+def _power_spaces(xi) -> tuple[list, list]:
+    """Kernels and images of the powers of the int map xi: lists with
+    kernels[k] = ker x^k and images[k] = im x^k for k = 0, ..., h, where
+    h is the nilpotency index (images[h] is zero, kernels[h] everything).
+
+    The rank of the image falls at every step until it reaches 0, so a
+    rank that stalls above 0 means x is not nilpotent, and the loop stops
+    within d steps either way.
+    """
+    d = len(xi)
+    kernels, images = [zero_space()], [full_space(d)]
+    power = identity(d)
+    while images[-1]:
+        power = mat_mul(xi, power)
+        image = int_span(transpose(power))
+        if len(image) == len(images[-1]):
+            raise DomainError("x is not nilpotent")
+        images.append(image)
+        kernels.append(int_span(int_kernel(power, d).values()))
+    return kernels, images
+
+
+def _exv(xi, v, kernels, images) -> Subspace:
+    """E^x v from the kernels and images of the powers of xi (see
+    ``exv_module``)."""
+    d = len(xi)
+    h = len(images) - 1
+    u = int_rows([v])[0]
+    exv = full_space(d)
+    for i in range(h):
+        # v lies in ker x^i + im x^j exactly when x^i v lies in
+        # im x^(i+j), so J(i) = top - i for the largest top <= h with
+        # x^i v in im x^top
+        top = h
+        while not contains(images[top], u):
+            top -= 1
+        image = images[top - i]
+        term = sub_add(kernels[i], image) if i else image
+        if len(term) < d:
+            exv = term if len(exv) == d else sub_intersect(exv, term, d)
+        if not any(u):
+            # x^i v = 0, so every later term contains this one, ker x^i
+            break
+        u = mat_vec(xi, u)
+    return exv
+
+
 def exv_module(pair: ExoticPair) -> Subspace:
-    """Span of y v over y commuting with x; always x-stable."""
-    v = int_rows([pair.v_vec()])[0]
-    vecs = [mat_vec(y, v) for y in centralizer_basis(pair.x_rows())]
-    return int_span(vecs)
+    """E^x v, the span of y v over y commuting with x; always x-stable.
+
+    For nilpotent x of nilpotency index h (Fillmore-Herrero-Longstaff,
+    see the module docstring),
+
+        E^x v = intersection over 0 <= i < h of ker x^i + im x^J(i),
+
+    where J(i) is the largest j <= h - i with v in ker x^i + im x^j.
+    Raises DomainError when x is not nilpotent.
+    """
+    xi = int_multiple(pair.x_rows())
+    return _exv(xi, pair.v_vec(), *_power_spaces(xi))
 
 
 def _is_stable(x, sub: Subspace) -> bool:
@@ -273,19 +340,18 @@ def jordan_type(x, subspace: Subspace | None = None,
     """Jordan type of x on the full space, an x-stable subspace, or the
     quotient by one, from the rank sequence of powers: the number of
     blocks of size >= k is rank(x^(k-1)) - rank(x^k)."""
-    xm = to_mat(x)
-    d = len(xm)
+    xi = int_multiple(to_mat(x))
+    d = len(xi)
     if subspace is not None and quotient_by is not None:
         raise DomainError("pass a subspace or a quotient, not both")
     for sub in (subspace, quotient_by):
-        if sub is not None and not _is_stable(xm, sub):
+        if sub is not None and not _is_stable(xi, sub):
             raise DomainError("subspace is not x-stable")
     # x^k of the space is spanned by vecs after k steps; on the quotient
     # its rank is that of vecs together with the quotient's rows, less s
     vecs = identity(d) if subspace is None else int_rows(subspace)
     fixed = int_rows(quotient_by or ())
     s = len(fixed)
-    xi = int_multiple(xm)
     ranks = [len(vecs) - s]
     while ranks[-1] > 0:
         vecs = [w for w in (mat_vec(xi, u) for u in vecs) if any(w)]
@@ -321,17 +387,16 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
     Raises NotDoubled when (v, x) lies in no orbit for any symplectic
     form, e.g. when the Jordan type of x is not doubled.
     """
-    xm = pair.x_rows()
-    if not is_nilpotent(xm):
-        raise DomainError("x is not nilpotent")
-    if pair.space is not None and not form_compatible(xm, pair.space):
+    xi = int_multiple(pair.x_rows())
+    powers = _power_spaces(xi)
+    if pair.space is not None and not form_compatible(xi, pair.space):
         raise DomainError("x is not self-adjoint for the supplied form")
-    return _orbit_from_module(xm, exv_module(pair))
+    return _orbit_from_module(xi, _exv(xi, pair.v_vec(), *powers))
 
 
-def _orbit_from_module(xm, exv: Subspace) -> Bipartition:
-    mu = de_double(jordan_type(xm, subspace=exv))
-    nu = de_double(jordan_type(xm, quotient_by=exv))
+def _orbit_from_module(xi, exv: Subspace) -> Bipartition:
+    mu = de_double(jordan_type(xi, subspace=exv))
+    nu = de_double(jordan_type(xi, quotient_by=exv))
     return Bipartition(mu, nu)
 
 
@@ -382,7 +447,7 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
     """{w : <w, u> = 0 for all u in the subspace}."""
     if not sub:
         return full_space(space.dim)
-    om = int_multiple(space.omega_rows())
+    om = space.int_omega
     rows = [mat_vec(om, u) for u in sub]
     return int_span(int_kernel(rows, space.dim).values())
 
@@ -392,10 +457,12 @@ class IsotropicFiltration:
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
     saturated range; outside it the chain is the full space or zero.
     Each level may be given by any spanning rows; it is stored in the
-    canonical form of ``span``."""
+    canonical form of ``span``. ``adapted_filtration`` also records the
+    orbit of the pair it was built for; equality ignores it."""
 
     space: SymplecticSpace
     subspaces: tuple  # sorted ((a, Subspace), ...)
+    orbit: Bipartition | None = field(default=None, compare=False)
 
     def __post_init__(self):
         levels = tuple((a, span(sub)) for a, sub in self.subspaces)
@@ -429,7 +496,7 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     flo, fhi = filt.range()
     if (flo, fhi) != (lo, hi):
         return False
-    xm = pair.x_rows()
+    xi = int_multiple(pair.x_rows())
     for a in range(lo, hi + 1):
         if sub_dim(filt.level(a)) != profile.dim(a):
             return False
@@ -437,39 +504,27 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
             return False
         if perp(filt.level(a), pair.space) != filt.level(1 - a):
             return False
-        if not sub_leq(map_image(xm, filt.level(a)), filt.level(a + 2)):
+        if not sub_leq(map_image(xi, filt.level(a)), filt.level(a + 2)):
             return False
     if not contains(filt.level(1), pair.v_vec()):
         return False
     return True
 
 
-def _seed_subspaces(pair: ExoticPair, exv: Subspace) -> set:
-    d = pair.dim
-    xm = int_multiple(pair.x_rows())
-    seeds = {zero_space(), full_space(d), exv}
-    # the x-chain through v (each member is an iterated image of the line)
-    u = int_rows([pair.v_vec()])[0]
+def _seed_subspaces(xi, v, exv: Subspace, kernels, images) -> set:
+    """The kernels and images of the powers of x, E^x v, and the lines of
+    the x-chain through v (each an iterated image of the line of v)."""
+    seeds = {exv, *kernels, *images}
+    u = int_rows([v])[0]
     while any(u):
         seeds.add(int_span([u]))
-        u = mat_vec(xm, u)
-    power = identity(d)
-    for _ in range(d):
-        power = mat_mul(xm, power)
-        image = int_span(transpose(power))
-        kernel = int_span(int_kernel(power, d).values())
-        seeds.add(image)
-        seeds.add(kernel)
-        if not image:
-            break
+        u = mat_vec(xi, u)
     return seeds
 
 
-def _assemble(pair, b, profile, lattice):
+def _assemble(pair, xi, b, profile, lattice):
     """All verified filtrations whose positive levels come from the
     lattice; negative levels are forced as perps."""
-    d = pair.dim
-    xm = pair.x_rows()
     hi = profile.levels[-1][0]
     by_level = {}
     for a in range(1, hi + 1):
@@ -499,6 +554,7 @@ def _assemble(pair, b, profile, lattice):
             filt = IsotropicFiltration(
                 space=pair.space,
                 subspaces=tuple(sorted(levels.items())),
+                orbit=b,
             )
             if verify_adapted(filt, pair, b):
                 found.append(filt)
@@ -510,7 +566,7 @@ def _assemble(pair, b, profile, lattice):
             target = chosen.get(a + 2)
             if target is None and a + 2 > hi:
                 target = zero_space()
-            if target is not None and not sub_leq(map_image(xm, sub), target):
+            if target is not None and not sub_leq(map_image(xi, sub), target):
                 continue
             chosen[a] = sub
             descend(a - 1, chosen)
@@ -541,18 +597,19 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
     """
     if pair.space is None:
         raise DomainError("adapted filtration needs a symplectic form")
-    xm = pair.x_rows()
-    if not in_exotic_cone(pair):
+    xi = int_multiple(pair.x_rows())
+    kernels, images = _power_spaces(xi)
+    if not form_compatible(xi, pair.space):
         raise DomainError("pair is not in the exotic cone for this form")
-    exv = exv_module(pair)
-    b = _orbit_from_module(xm, exv)
+    exv = _exv(xi, pair.v_vec(), kernels, images)
+    b = _orbit_from_module(xi, exv)
     profile = filtration_dims(b)
     d = pair.dim
-    lattice = _seed_subspaces(pair, exv)
+    lattice = _seed_subspaces(xi, pair.v_vec(), exv, kernels, images)
     frontier = set(lattice)
 
     for depth in range(closure_depth + 1):
-        matches = _assemble(pair, b, profile, lattice)
+        matches = _assemble(pair, xi, b, profile, lattice)
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
@@ -565,8 +622,8 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
         for sub in frontier:
             for derived in (
                 perp(sub, pair.space),
-                map_image(xm, sub),
-                map_preimage(xm, sub, d),
+                map_image(xi, sub),
+                map_preimage(xi, sub, d),
             ):
                 if derived not in lattice:
                     fresh.add(derived)

@@ -2,7 +2,15 @@
 
 from fractions import Fraction
 
-from exoticcone.linalg import Mat, frac, nonneg_combination
+from exoticcone.linalg import (
+    Mat,
+    frac,
+    int_rows,
+    int_span,
+    mat_vec,
+    nonneg_combination,
+)
+from exoticcone.orbits import centralizer_basis
 from exoticcone.rootdata import weyl_orbit
 
 
@@ -135,3 +143,13 @@ def sub_intersect(a, b, d) -> tuple:
     if not joint:
         return span([[int(i == j) for j in range(d)] for i in range(d)])
     return span(nullspace(joint, d))
+
+
+# -- E^x v through the centralizer: the reference for orbits.exv_module ------
+
+def exv_module(pair) -> tuple:
+    """E^x v as the span of y v over a basis of the centralizer of x: one
+    kernel in d^2 unknowns, sharing nothing with the library's route
+    through the kernels and images of the powers of x."""
+    v = int_rows([pair.v_vec()])[0]
+    return int_span([mat_vec(y, v) for y in centralizer_basis(pair.x_rows())])

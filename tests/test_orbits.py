@@ -1,12 +1,20 @@
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from exoticcone.bipartitions import Bipartition, bipartition, enumerate_Q
 from exoticcone.errors import DomainError, NotDoubled
 from exoticcone.linalg import (
+    det,
+    inverse,
+    mat_mul,
     mat_pow,
     mat_vec,
     span,
@@ -119,6 +127,56 @@ def test_exv_module_basics():
     x = [[0, 0], [0, 0]]
     assert exv_module(make_pair([0, 0], x)) == ()
     assert sub_dim(exv_module(make_pair([1, 0], x))) == 2
+
+
+def random_nilpotent_pair(seed):
+    """(v, x) with x a random strictly upper-triangular int matrix
+    conjugated by a random invertible int matrix g (so x has Fraction
+    entries in general), and v = g x0^k w for a random sparse w."""
+    rng = random.Random(seed)
+    d = 2 * rng.randint(1, 4)
+    density = rng.random()
+    x0 = [[rng.choice((-2, -1, 1, 2)) if j > i and rng.random() < density
+           else 0 for j in range(d)] for i in range(d)]
+    g = [[0]]
+    while det(g) == 0:
+        g = [[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)]
+    w = [rng.randint(-2, 2) if rng.random() < 0.6 else 0 for _ in range(d)]
+    v = mat_vec(mat_mul(g, mat_pow(x0, rng.choice((0, 0, 1, 2)))), w)
+    return make_pair(v, mat_mul(g, mat_mul(x0, inverse(g))))
+
+
+@given(st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_exv_module_matches_centralizer_oracle(seed):
+    pair = random_nilpotent_pair(seed)
+    assert exv_module(pair) == oracles.exv_module(pair)
+
+
+def test_exv_module_matches_oracle_on_orbits():
+    for n in range(1, 5):
+        for b in enumerate_Q(n):
+            pair = representative(b)
+            assert exv_module(pair) == oracles.exv_module(pair)
+            if n > 3:
+                continue
+            for seed in range(3):
+                moved = conjugate_pair(pair, random_symplectic(pair.space, seed))
+                assert exv_module(moved) == oracles.exv_module(moved)
+
+
+def test_exv_module_rejects_non_nilpotent():
+    for x in ([[1, 0], [0, 0]],
+              [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 0, 0]],
+              [[1, 0], [0, 1]]):
+        pair = make_pair([1] + [0] * (len(x) - 1), x)
+        with pytest.raises(DomainError, match="not nilpotent"):
+            exv_module(pair)
+        with pytest.raises(DomainError, match="not nilpotent"):
+            orbit_of(pair)
+    pair = make_pair([1, 0], [[0, 0], [1, 1]], standard_form(1))
+    with pytest.raises(DomainError, match="not nilpotent"):
+        adapted_filtration(pair)
 
 
 def test_exv_module_sample(sample_pair):
@@ -328,6 +386,7 @@ def test_adapted_filtration_all_orbits_rank3():
     for b in enumerate_Q(3):
         pair = representative(b)
         filt = adapted_filtration(pair)
+        assert filt.orbit == b
         assert verify_adapted(filt, pair, b)
 
 
