@@ -4,9 +4,10 @@ build the standard representative, run the subspace-lattice search, and
 report the closure depth at which the unique verified filtration appears.
 
 This documents that the default closure depth (4) is ample for small
-ranks: every orbit up to n = 2 resolves at depth 0 or 1 and every orbit
-up to n = 5 within depth 3; at n = 5, (5 | ∅), (3,2 | ∅) and (3,1 | 1)
-need all three rounds.
+ranks. With the x-cyclic spans of v among the seeds, every orbit up to
+n = 2 resolves at depth 0, and every orbit up to n = 5 within depth 2:
+at n = 5, (3,2 | ∅), (2,2,1 | ∅), (3,1 | 1) and (2,1,1 | 1) need two
+rounds, and (5 | ∅) needs none.
 """
 
 import argparse

@@ -28,8 +28,10 @@ class Config:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or value <= 0:
-                raise DomainError(f"config {f.name} must be a positive int")
+            # closure depth 0 searches the seeds alone, with no round
+            low = 0 if f.name == "closure_depth" else 1
+            if not isinstance(value, int) or value < low:
+                raise DomainError(f"config {f.name} must be an int >= {low}")
 
     @property
     def cache_entries(self) -> int:

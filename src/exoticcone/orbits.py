@@ -149,19 +149,36 @@ class ExoticPair:
     def v_vec(self):
         return list(self.v)
 
+    # What the classification of the pair computes, kept with the pair so
+    # that orbit_of, exv_module, in_exotic_cone, adapted_filtration and
+    # verify_adapted each compute it at most once. The cached values live
+    # in the instance dict: equality and hashing still see only the fields.
+
+    @cached_property
+    def _int_x(self):
+        """A positive int multiple of x: it has the same kernels, images
+        and stable subspaces."""
+        return int_multiple(self.x_rows())
+
+    @cached_property
+    def _powers(self) -> tuple[list, list]:
+        """Kernels and images of the powers of x (``_power_spaces``).
+        Raises DomainError, and caches nothing, when x is not nilpotent."""
+        return _power_spaces(self._int_x)
+
+    @cached_property
+    def _module(self) -> Subspace:
+        """E^x v (``exv_module``)."""
+        return _exv(self._int_x, self.v_vec(), *self._powers)
+
+    @cached_property
+    def _orbit(self) -> Bipartition:
+        """The orbit read off from E^x v; the form is not checked here."""
+        return _orbit_from_module(self._int_x, self._module)
+
 
 def make_pair(v, x, space: SymplecticSpace | None = None) -> ExoticPair:
     return ExoticPair(v=tuple(to_vec(v)), x=_freeze_mat(to_mat(x)), space=space)
-
-
-def is_nilpotent(x) -> bool:
-    """Rank of successive powers must reach 0; a stalled nonzero rank
-    means an eigenvalue other than 0 (the power loop of _power_spaces)."""
-    try:
-        _power_spaces(int_multiple(x))
-    except DomainError:
-        return False
-    return True
 
 
 def form_compatible(x, space: SymplecticSpace) -> bool:
@@ -173,11 +190,11 @@ def form_compatible(x, space: SymplecticSpace) -> bool:
 
 def in_exotic_cone(pair: ExoticPair) -> bool:
     """Nilpotency plus, when a form is attached, self-adjointness."""
-    if not is_nilpotent(pair.x_rows()):
+    try:
+        pair._powers
+    except DomainError:
         return False
-    if pair.space is not None and not form_compatible(pair.x_rows(), pair.space):
-        return False
-    return True
+    return pair.space is None or form_compatible(pair._int_x, pair.space)
 
 
 def solve_symplectic_form(x) -> tuple:
@@ -327,8 +344,7 @@ def exv_module(pair: ExoticPair) -> Subspace:
     where J(i) is the largest j <= h - i with v in ker x^i + im x^j.
     Raises DomainError when x is not nilpotent.
     """
-    xi = int_multiple(pair.x_rows())
-    return _exv(xi, pair.v_vec(), *_power_spaces(xi))
+    return pair._module
 
 
 def _is_stable(x, sub: Subspace) -> bool:
@@ -387,11 +403,10 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
     Raises NotDoubled when (v, x) lies in no orbit for any symplectic
     form, e.g. when the Jordan type of x is not doubled.
     """
-    xi = int_multiple(pair.x_rows())
-    powers = _power_spaces(xi)
-    if pair.space is not None and not form_compatible(xi, pair.space):
+    pair._powers  # raises DomainError when x is not nilpotent
+    if pair.space is not None and not form_compatible(pair._int_x, pair.space):
         raise DomainError("x is not self-adjoint for the supplied form")
-    return _orbit_from_module(xi, _exv(xi, pair.v_vec(), *powers))
+    return pair._orbit
 
 
 def _orbit_from_module(xi, exv: Subspace) -> Bipartition:
@@ -452,6 +467,18 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
     return int_span(int_kernel(rows, space.dim).values())
 
 
+def _perp_via(perps: dict, sub: Subspace, space: SymplecticSpace) -> Subspace:
+    """``perp`` of a canonical subspace, read through perps, the dict of
+    the perps already known within one ``adapted_filtration`` call. The
+    form is nondegenerate, so perp is an involution and each computed pair
+    is stored both ways."""
+    known = perps.get(sub)
+    if known is None:
+        known = perps[sub] = perp(sub, space)
+        perps[known] = sub
+    return known
+
+
 @dataclass(frozen=True)
 class IsotropicFiltration:
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
@@ -491,18 +518,24 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     x V_{>= a} inside V_{>= a+2}."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
+    return _verify(filt, pair, b, {})
+
+
+def _verify(filt, pair, b, perps) -> bool:
+    """``verify_adapted``, with the perps read through the dict perps
+    (see ``_perp_via``)."""
     profile = filtration_dims(b)
     lo, hi = profile.levels[0][0], profile.levels[-1][0]
     flo, fhi = filt.range()
     if (flo, fhi) != (lo, hi):
         return False
-    xi = int_multiple(pair.x_rows())
+    xi = pair._int_x
     for a in range(lo, hi + 1):
         if sub_dim(filt.level(a)) != profile.dim(a):
             return False
         if not sub_leq(filt.level(a), filt.level(a - 1)):
             return False
-        if perp(filt.level(a), pair.space) != filt.level(1 - a):
+        if _perp_via(perps, filt.level(a), pair.space) != filt.level(1 - a):
             return False
         if not sub_leq(map_image(xi, filt.level(a)), filt.level(a + 2)):
             return False
@@ -512,19 +545,28 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
 
 
 def _seed_subspaces(xi, v, exv: Subspace, kernels, images) -> set:
-    """The kernels and images of the powers of x, E^x v, and the lines of
-    the x-chain through v (each an iterated image of the line of v)."""
+    """The kernels and images of the powers of x, E^x v, and, for every
+    k, the line through x^k v and the x-cyclic span{x^j v : j >= k}.
+
+    In the orbit (m | ∅) the level V_{>= 1} is the x-cyclic span of v;
+    from the lines alone the search needs ceil(log2 m) rounds of pairwise
+    sums to build it."""
     seeds = {exv, *kernels, *images}
+    chain = []
     u = int_rows([v])[0]
     while any(u):
-        seeds.add(int_span([u]))
+        chain.append(u)
         u = mat_vec(xi, u)
+    for k in range(len(chain)):
+        seeds.add(int_span([chain[k]]))
+        seeds.add(int_span(chain[k:]))
     return seeds
 
 
-def _assemble(pair, xi, b, profile, lattice):
+def _assemble(pair, xi, b, profile, lattice, perps):
     """All verified filtrations whose positive levels come from the
-    lattice; negative levels are forced as perps."""
+    lattice; negative levels are forced as perps. Every perp, in the
+    search and in the verification, is read through perps."""
     hi = profile.levels[-1][0]
     by_level = {}
     for a in range(1, hi + 1):
@@ -533,7 +575,7 @@ def _assemble(pair, xi, b, profile, lattice):
         for sub in lattice:
             if sub_dim(sub) != want:
                 continue
-            if not sub_leq(sub, perp(sub, pair.space)):
+            if not sub_leq(sub, _perp_via(perps, sub, pair.space)):
                 continue
             if a == 1 and not contains(sub, pair.v_vec()):
                 continue
@@ -550,13 +592,13 @@ def _assemble(pair, xi, b, profile, lattice):
             for idx in range(1, hi + 1):
                 levels[idx] = chosen[idx]
             for idx in range(1 - hi, 1):
-                levels[idx] = perp(chosen[1 - idx], pair.space)
+                levels[idx] = _perp_via(perps, chosen[1 - idx], pair.space)
             filt = IsotropicFiltration(
                 space=pair.space,
                 subspaces=tuple(sorted(levels.items())),
                 orbit=b,
             )
-            if verify_adapted(filt, pair, b):
+            if _verify(filt, pair, b, perps):
                 found.append(filt)
             return
         for sub in by_level[a]:
@@ -585,10 +627,21 @@ def _assemble(pair, xi, b, profile, lattice):
 def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
                        ) -> IsotropicFiltration:
     """The unique filtration adapted to (v, x), found by searching the
-    subspace lattice generated from natural seeds (images and kernels of
-    powers of x, the line through v, the centralizer module) under sums,
+    subspace lattice generated from natural seeds under sums,
     intersections, perps, images, and preimages, up to closure_depth
     rounds.
+
+    The seeds (``_seed_subspaces``) are the kernels and images of the
+    powers of x, E^x v, and for every k the line through x^k v and the
+    x-cyclic span of x^k v. Every seed and every operation commutes with
+    the isometries: the lattice of (g v, g x g^-1) is g times the lattice
+    of (v, x), so the depth a pair needs depends on its orbit only.
+
+    The powers of x, E^x v and the orbit come from the pair's cache, so a
+    pair that ``orbit_of`` has classified is not classified again. Within
+    the call a dict holds every perp computed so far; the closure rounds,
+    the assembly and its verification all read through it, so each
+    subspace's perp is computed at most once per call.
 
     The orbit theory guarantees uniqueness, so the search stops at the
     first round that produces a verified filtration; two distinct
@@ -597,19 +650,19 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
     """
     if pair.space is None:
         raise DomainError("adapted filtration needs a symplectic form")
-    xi = int_multiple(pair.x_rows())
-    kernels, images = _power_spaces(xi)
+    xi = pair._int_x
+    kernels, images = pair._powers
     if not form_compatible(xi, pair.space):
         raise DomainError("pair is not in the exotic cone for this form")
-    exv = _exv(xi, pair.v_vec(), kernels, images)
-    b = _orbit_from_module(xi, exv)
+    b = pair._orbit
     profile = filtration_dims(b)
     d = pair.dim
-    lattice = _seed_subspaces(xi, pair.v_vec(), exv, kernels, images)
+    lattice = _seed_subspaces(xi, pair.v_vec(), pair._module, kernels, images)
     frontier = set(lattice)
+    perps = {}
 
     for depth in range(closure_depth + 1):
-        matches = _assemble(pair, xi, b, profile, lattice)
+        matches = _assemble(pair, xi, b, profile, lattice, perps)
         if len(matches) == 1:
             return matches[0]
         if len(matches) > 1:
@@ -621,7 +674,7 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
         fresh = set()
         for sub in frontier:
             for derived in (
-                perp(sub, pair.space),
+                _perp_via(perps, sub, pair.space),
                 map_image(xi, sub),
                 map_preimage(xi, sub, d),
             ):

@@ -149,7 +149,6 @@ def root_data(n: int) -> RootDataC:
             short.append(tuple((k == i) + (k == j) for k in range(n)))
     positive = tuple(short + [_unit(n, i, 2) for i in range(n)])
     exotic = tuple(short + [_unit(n, i, 1) for i in range(n)])
-    assert len(positive) == n * n and len(exotic) == n * n
     return RootDataC(
         rank=n,
         positive_roots=positive,

@@ -196,6 +196,15 @@ def test_adapted_depth_cap_names_knob(tmp_path):
     assert json.loads(out)["verified"] is True
 
 
+def test_adapted_depth_zero_searches_the_seeds():
+    path = os.path.join(DATA, "pair_n5_conj.json")
+    doc = invoke_json("--closure-depth", "0", "adapted", "--file", path)
+    assert doc["verified"] is True
+    assert (doc["mu"], doc["nu"]) == ([5], [])
+    code, _, err = invoke("--closure-depth", "-1", "adapted", "--file", path)
+    assert code == 1 and "closure_depth" in err
+
+
 def test_n_flag_must_match_lengths():
     code, _, err = invoke("mult", "--n", "3", "--mu", "[1,0]",
                           "--lambda", "[0,0]")
@@ -245,6 +254,9 @@ def test_config_file_and_env(tmp_path, monkeypatch):
 def test_config_validation(tmp_path):
     with pytest.raises(DomainError):
         Config(rank_cap=0)
+    with pytest.raises(DomainError):
+        Config(closure_depth=-1)
+    assert Config(closure_depth=0).closure_depth == 0
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 3\n")
     with pytest.raises(DomainError):

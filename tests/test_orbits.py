@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 
 from exoticcone.bipartitions import Bipartition, bipartition, enumerate_Q
-from exoticcone.errors import DomainError, NotDoubled
+from exoticcone.errors import DomainError, FiltrationNotFound, NotDoubled
 from exoticcone.linalg import (
     det,
     inverse,
@@ -400,6 +400,86 @@ def test_adapted_filtration_reports_exhausted_depth():
     # the same search succeeds once the lattice may grow
     filt = adapted_filtration(pair, closure_depth=4)
     assert verify_adapted(filt, pair, bipartition((2,), (1,)))
+
+
+def test_adapted_filtration_conjugation_equivariant():
+    """g carries each level of the filtration of (v, x) onto the same
+    level of the filtration of (g v, g x g^-1)."""
+    for n, seeds in ((1, 3), (2, 3), (3, 3), (4, 1)):
+        for b in enumerate_Q(n):
+            pair = representative(b)
+            filt = adapted_filtration(pair)
+            lo, hi = filt.range()
+            for seed in range(seeds):
+                g = random_symplectic(pair.space, seed)
+                moved = adapted_filtration(conjugate_pair(pair, g))
+                assert moved.range() == (lo, hi)
+                for a in range(lo, hi + 1):
+                    image = span([mat_vec(g, list(row))
+                                  for row in filt.level(a)])
+                    assert moved.level(a) == image, (b, seed, a)
+
+
+def test_adapted_filtration_conjugate_needs_no_closure_round():
+    # rep(5 | ∅) conjugated by random_symplectic(space, 7): level V_{>=1}
+    # is the x-cyclic span of v, a seed, so depth 0 suffices
+    pair = load_pair("pair_n5_conj.json")
+    filt = adapted_filtration(pair, closure_depth=0)
+    assert filt.orbit == bipartition((5,), ())
+    assert verify_adapted(filt, pair, filt.orbit)
+    x, v = pair.x_rows(), pair.v_vec()
+    assert filt.level(1) == span([mat_vec(mat_pow(x, j), v) for j in range(5)])
+
+
+def test_pair_is_classified_once(monkeypatch):
+    from exoticcone import orbits
+
+    calls = []
+    power_spaces = orbits._power_spaces
+
+    def counted(xi):
+        calls.append(xi)
+        return power_spaces(xi)
+
+    monkeypatch.setattr(orbits, "_power_spaces", counted)
+    pair = load_pair("pair_n5_conj.json")
+    b = orbit_of(pair)
+    filt = adapted_filtration(pair)
+    assert verify_adapted(filt, pair, b)
+    assert exv_module(pair) and in_exotic_cone(pair)
+    assert len(calls) == 1
+    calls.clear()
+    representative(bipartition((2, 1), (1,)))
+    assert len(calls) == 1
+    # the cache lives with the pair: an equal pair is classified anew
+    again = load_pair("pair_n5_conj.json")
+    assert again == pair and hash(again) == hash(pair)
+    assert orbit_of(again) == b
+    assert len(calls) == 2
+
+
+def test_adapted_filtration_computes_each_perp_once(monkeypatch):
+    from exoticcone import orbits
+
+    calls = []
+
+    def counted(sub, space):
+        calls.append(sub)
+        return perp(sub, space)
+
+    monkeypatch.setattr(orbits, "perp", counted)
+    # (2,1 | 1) needs two closure rounds, so the search assembles three
+    # times over a growing lattice
+    b = bipartition((2, 1), (1,))
+    rep = representative(b)
+    pair = conjugate_pair(rep, random_symplectic(rep.space, 0))
+    with pytest.raises(FiltrationNotFound):
+        adapted_filtration(pair, closure_depth=1)
+    calls.clear()
+    filt = adapted_filtration(pair)
+    assert calls
+    assert len(calls) == len(set(calls))
+    assert verify_adapted(filt, pair, b)
 
 
 def test_orbit_of_rejects_incompatible_form():
