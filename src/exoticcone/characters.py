@@ -21,6 +21,7 @@ from .errors import InternalInconsistency
 from .kostant import kostant_p
 from .rootdata import (
     alternating_sum,
+    check_same_rank,
     check_weight,
     dominant_rep,
     require_dominant,
@@ -136,8 +137,7 @@ def weight_mult_oracle(mu, lam) -> int:
     """Multiplicity of lam in V_mu by the Freudenthal recursion."""
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
-    if len(lam) != len(mu):
-        return 0
+    check_same_rank(mu, lam)
     rep, _ = dominant_rep(lam)
     return _freudenthal_table(mu).get(rep, 0)
 

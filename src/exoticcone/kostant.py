@@ -6,14 +6,21 @@ combination of the type C positive roots e_i - e_j, e_i + e_j (i < j) and
 roots 2 e_i replaced by e_i. Counts are exact Python ints (arbitrary
 precision).
 
-Algorithm: recursion over a fixed summand order, memoized on
-(summand index, residual). Every summand has nonnegative prefix sums, so a
-residual with a negative prefix sum is unreachable and prunes the branch;
-the same fact bounds the per-summand coefficient, so the recursion
-terminates. The memo is shared per (rank, multiset) pair and clears
-itself when it outgrows the configured cap. It takes no lock: a memo value
-is a function of its key alone, so concurrent callers can at worst
-recompute or evict an entry, never store a wrong one.
+Algorithm: recursion over the summands, memoized on (summand index,
+residual). The summands are sorted stably by leading coordinate (the index
+of their first nonzero entry), so they fall into groups g = 0..n-1, and
+once group g is done no later summand touches coordinates 0..g. At the
+last summand s of group g the multiplicity is therefore forced:
+c = residual[g] / s[g]. That step does not loop and keeps no memo entry; a
+branch where the division is not exact, or where the new residual leaves
+the root cone, is dead there, one group early, instead of being memoized
+as zeros through the summands that remain. Every summand has nonnegative
+prefix sums, so a residual with a negative prefix sum is unreachable and
+prunes the branch; the same fact bounds the other coefficients, so the
+recursion terminates. The memo is shared per (rank, multiset) pair and
+clears itself when it outgrows the configured cap. It takes no lock: a
+memo value is a function of its key alone, so concurrent callers can at
+worst recompute or evict an entry, never store a wrong one.
 """
 
 from __future__ import annotations
@@ -36,11 +43,20 @@ def configure_cache(max_entries: int) -> None:
         counter.cap = max_entries
 
 
+def _lead(vec) -> int:
+    return next(i for i, c in enumerate(vec) if c)
+
+
 class _Counter:
-    __slots__ = ("summands", "memo", "cap")
+    __slots__ = ("summands", "closing", "memo", "cap")
 
     def __init__(self, summands):
-        self.summands = summands
+        # stable, so each group keeps the root-data order
+        self.summands = tuple(sorted(summands, key=_lead))
+        leads = [_lead(s) for s in self.summands] + [None]
+        # the coordinate a summand closes: no later summand touches it
+        self.closing = tuple(g if g != after else None
+                             for g, after in zip(leads, leads[1:]))
         self.memo = {}
         self.cap = _cache_cap
 
@@ -54,12 +70,19 @@ class _Counter:
             return 1
         if k == len(self.summands):
             return 0
+        s = self.summands[k]
+        g = self.closing[k]
+        if g is not None:
+            c, rem = divmod(residual[g], s[g])
+            if rem or c < 0:
+                return 0
+            r = tuple(a - c * b for a, b in zip(residual, s))
+            return self._count(k + 1, r) if in_root_cone(r) else 0
         key = (k, residual)
         hit = self.memo.get(key)
         if hit is not None:
             return hit
         total = 0
-        s = self.summands[k]
         r = residual
         while True:
             total += self._count(k + 1, r)

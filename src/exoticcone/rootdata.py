@@ -30,6 +30,11 @@ def check_weight(lam) -> Weight:
     return lam
 
 
+def check_same_rank(mu, lam) -> None:
+    if len(mu) != len(lam):
+        raise DomainError("rank mismatch")
+
+
 def doubled(lam) -> Weight:
     """Doubled coordinates of an integral weight."""
     return tuple(2 * c for c in lam)
@@ -167,6 +172,7 @@ def alternating_sum(mu, lam, count) -> int:
     With a partition count over the positive roots this is Kostant's
     multiplicity formula; ``count`` is any function of one weight.
     """
+    check_same_rank(mu, lam)
     r = rho(len(mu))
     shifted_mu = tuple(a + b for a, b in zip(mu, r))
     shifted_lam = tuple(a + b for a, b in zip(lam, r))
@@ -296,8 +302,7 @@ def in_conv(lam, mu) -> bool:
     """Does lam lie in the convex hull of the W-orbit of dominant mu?"""
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
-    if len(lam) != len(mu):
-        raise DomainError("rank mismatch")
+    check_same_rank(mu, lam)
     rep, _ = dominant_rep(lam)
     return in_root_cone([a - b for a, b in zip(mu, rep)])
 
@@ -318,8 +323,7 @@ def in_tconv(lam, mu) -> bool:
     """Hull membership for the twisted action: lam + theta against the
     orbit of mu + theta, decided on doubled coordinates."""
     a, b = _tconv_reps(lam, mu)
-    if len(a) != len(b):
-        raise DomainError("rank mismatch")
+    check_same_rank(a, b)
     return in_root_cone([x - y for x, y in zip(b, a)])
 
 

@@ -25,7 +25,12 @@ import itertools
 from .characters import weight_mult_oracle
 from .errors import InternalInconsistency
 from .kostant import kostant_p_exotic
-from .rootdata import alternating_sum, in_conv, require_dominant
+from .rootdata import (
+    alternating_sum,
+    check_same_rank,
+    in_conv,
+    require_dominant,
+)
 
 
 def _add(a, b):
@@ -49,6 +54,7 @@ def h0_mult_subsets(mu, lam) -> int:
     subsets S of coordinates: sum_S m_mu(lam + e_S)."""
     mu = require_dominant(mu, "mu")
     lam = require_dominant(lam, "lambda")
+    check_same_rank(mu, lam)
     n = len(mu)
     total = 0
     for picks in itertools.product((0, 1), repeat=n):

@@ -45,6 +45,39 @@ def brute_kostant(target, summands) -> int:
     return count
 
 
+def recursive_kostant(target, summands) -> int:
+    """Count nonnegative-integer combinations by recursion over the
+    summands in the order given.
+
+    The only prune is the prefix-sum one: every summand has nonnegative
+    prefix sums, so a residual with a negative prefix sum is dead. No memo,
+    no reordering and no forced last coefficient, so it shares none of the
+    shortcuts of the library counter; unlike ``brute_kostant`` it stops at
+    the first dead residual, which keeps ranks 3 and 4 in reach.
+    """
+
+    def alive(residual):
+        run = 0
+        for c in residual:
+            run += c
+            if run < 0:
+                return False
+        return True
+
+    def rec(k, residual):
+        if not any(residual):
+            return 1
+        if k == len(summands):
+            return 0
+        total = 0
+        while alive(residual):
+            total += rec(k + 1, residual)
+            residual = [a - b for a, b in zip(residual, summands[k])]
+        return total
+
+    return rec(0, list(target))
+
+
 def hull_contains_lp(lam, mu) -> bool:
     """Hull membership as feasibility of a convex combination over every
     orbit point (a different constraint system from the cone test)."""

@@ -133,6 +133,13 @@ def test_non_dominant_mu_rejected():
         weight_mult_oracle((0, 1), (0, 0))
 
 
+def test_rank_mismatch_rejected():
+    for mu, lam in (((1,), (0, 0)), ((1, 0), (1,)), ((1, 0), (0, 0, 0))):
+        for route in (weight_mult, weight_mult_oracle):
+            with pytest.raises(DomainError, match="rank mismatch"):
+                route(mu, lam)
+
+
 def test_table_cache_cap_keeps_answers_correct():
     mus = [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (2, 1, 1)]
     characters.configure_cache(4)

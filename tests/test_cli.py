@@ -212,6 +212,15 @@ def test_n_flag_must_match_lengths():
     assert "--n" in err
 
 
+def test_mult_rank_mismatch_exits_1():
+    for mu, lam, route in (("[1]", "[0,0]", "a"), ("[1,0]", "[1]", "both"),
+                           ("[1,0]", "[0,0,0]", "b")):
+        code, out, err = invoke("mult", "--mu", mu, "--lambda", lam,
+                                "--route", route)
+        assert code == 1 and out == ""
+        assert err == "error: rank mismatch\n"
+
+
 def test_mismatched_bipartition_rejected():
     code, _, err = invoke("phic", "--mu", "[1,2]", "--nu", "[]")
     assert code == 1

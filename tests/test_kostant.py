@@ -11,7 +11,7 @@ from exoticcone.kostant import (
     subset_identity_check,
 )
 from exoticcone.rootdata import root_data
-from oracles import brute_kostant
+from oracles import brute_kostant, recursive_kostant
 
 
 def test_kostant_p_examples():
@@ -67,6 +67,47 @@ def test_dp_matches_brute_force_rank1_and_2():
         )
 
 
+def _clear_memos():
+    for counter in kostant._registry.values():
+        counter.memo.clear()
+
+
+def test_dp_matches_recursion_rank3_and_4():
+    # negative, odd and mixed coordinates; at rank 4 the coordinate sum is
+    # capped so that the memo-free recursion stays fast
+    box = list(itertools.product(range(-2, 4), repeat=3))
+    box += [mu for mu in itertools.product(range(-1, 3), repeat=4)
+            if sum(mu) <= 4]
+    expected = []
+    for mu in box:
+        data = root_data(len(mu))
+        expected.append((recursive_kostant(mu, data.positive_roots),
+                         recursive_kostant(mu, data.exotic_weights)))
+    assert any(p for p, _ in expected) and any(q for _, q in expected)
+    # under cap 8 the memo clears between the loops and the forced steps
+    try:
+        for cap in (1 << 19, 8):
+            configure_cache(cap)
+            _clear_memos()
+            got = [(kostant_p(mu), kostant_p_exotic(mu)) for mu in box]
+            assert got == expected
+    finally:
+        configure_cache(1 << 19)
+
+
+def test_cold_count_stays_within_its_work_bound():
+    # a deterministic bound on the work: the ungrouped DP left 390,921
+    # memo entries behind for this count
+    _clear_memos()
+    assert kostant_p_exotic((6, 0, 0, 0, 0, 0)) == 4775826
+    assert sum(len(c.memo) for c in kostant._registry.values()) <= 30_000
+    # the long roots 2 e_i make the forced step divide by 2: an odd
+    # residual there ends the branch at once (29,371 entries if it did not)
+    _clear_memos()
+    assert kostant_p((6, 0, 0, 0, 0, 0)) == 1681527
+    assert sum(len(c.memo) for c in kostant._registry.values()) <= 20_000
+
+
 def test_subset_identity_examples():
     assert subset_identity_check((0, 0))
     assert subset_identity_check((1, 0))
@@ -115,8 +156,7 @@ def test_thread_safety_of_memo(frequent_switches):
     try:
         for cap in (1 << 19, 8):
             configure_cache(cap)
-            for counter in kostant._registry.values():
-                counter.memo.clear()
+            _clear_memos()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 assert list(pool.map(kostant_p_exotic, grid)) == expected
     finally:

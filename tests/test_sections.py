@@ -40,6 +40,13 @@ def test_non_dominant_rejected():
         h0_mult_subsets((0, 1), (0, 0))
 
 
+def test_rank_mismatch_rejected():
+    for mu, lam in (((1,), (0, 0)), ((1, 0), (1,)), ((1, 0), (0, 0, 0))):
+        for route in (h0_mult, h0_mult_subsets):
+            with pytest.raises(DomainError, match="rank mismatch"):
+                route(mu, lam)
+
+
 @given(dominant2(), dominant2())
 @settings(max_examples=40, deadline=None)
 def test_routes_agree_rank2(mu, lam):
