@@ -10,11 +10,11 @@ orbits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import DomainError, InternalInconsistency
+from .records import Record
 
 Partition = tuple
 
@@ -205,8 +205,7 @@ def collapse(b: Bipartition) -> Bipartition:
     return phiC_hat(phiC(b))
 
 
-@dataclass(frozen=True)
-class FiltrationProfile:
+class FiltrationProfile(Record):
     """Dimensions dim V_{>= a} over the saturated index range."""
 
     n: int

@@ -14,11 +14,11 @@ The ``e_i`` basis is orthonormal, which fixes every pairing normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency
 from .kostant import kostant_p
+from .records import Record
 from .rootdata import (
     alternating_sum,
     check_same_rank,
@@ -161,8 +161,7 @@ def weyl_dim(mu) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class WeightMultiplicityTable:
+class WeightMultiplicityTable(Record):
     """Full weight diagram of V_mu; zero multiplicities are omitted."""
 
     highest: tuple

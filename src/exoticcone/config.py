@@ -8,9 +8,9 @@ environment variable), and command-line flags.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
+from .records import Record
 
 ENV_VAR = "EXOTICCONE_CONFIG"
 
@@ -18,20 +18,19 @@ ENV_VAR = "EXOTICCONE_CONFIG"
 _ENTRY_BYTES = 120
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(Record):
     rank_cap: int = 8
     degree_cap: int = 12
     closure_depth: int = 4
     cache_bytes: int = 1 << 26
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in self._fields:
+            value = getattr(self, name)
             # closure depth 0 searches the seeds alone, with no round
-            low = 0 if f.name == "closure_depth" else 1
-            if not isinstance(value, int) or value < low:
-                raise DomainError(f"config {f.name} must be an int >= {low}")
+            low = 0 if name == "closure_depth" else 1
+            if type(value) is not int or value < low:
+                raise DomainError(f"config {name} must be an int >= {low}")
 
     @property
     def cache_entries(self) -> int:
@@ -39,7 +38,7 @@ class Config:
 
 
 def _parse_file(path: str) -> dict:
-    known = {f.name for f in fields(Config)}
+    known = set(Config._fields)
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -76,4 +75,4 @@ def load_config(path: str | None = None, overrides: dict | None = None
         values.update(_parse_file(source))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return replace(Config(), **values)
+    return Config(**values)

@@ -27,7 +27,6 @@ Jordan types come from echelon forms, never from floating point.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -67,10 +66,10 @@ from .linalg import (
     transpose,
     zero_space,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class SymplecticSpace:
+class SymplecticSpace(Record):
     """2n-dimensional space with an antisymmetric invertible Gram matrix."""
 
     n: int
@@ -116,8 +115,7 @@ def standard_form(n: int) -> SymplecticSpace:
     return SymplecticSpace(n=n, omega=_freeze_mat(om))
 
 
-@dataclass(frozen=True)
-class ExoticPair:
+class ExoticPair(Record):
     """Candidate point (v, x); the membership conditions are checked by
     in_exotic_cone, not by construction. The form is optional: orbit
     classification is independent of it."""
@@ -479,8 +477,7 @@ def _perp_via(perps: dict, sub: Subspace, space: SymplecticSpace) -> Subspace:
     return known
 
 
-@dataclass(frozen=True)
-class IsotropicFiltration:
+class IsotropicFiltration(Record, uncompared=("orbit",)):
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
     saturated range; outside it the chain is the full space or zero.
     Each level may be given by any spanning rows; it is stored in the
@@ -489,7 +486,7 @@ class IsotropicFiltration:
 
     space: SymplecticSpace
     subspaces: tuple  # sorted ((a, Subspace), ...)
-    orbit: Bipartition | None = field(default=None, compare=False)
+    orbit: Bipartition | None = None
 
     def __post_init__(self):
         levels = tuple((a, span(sub)) for a, sub in self.subspaces)

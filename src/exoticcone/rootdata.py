@@ -14,11 +14,11 @@ so no floating point or rational rounding ever enters.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
+from .records import Record
 
 Weight = tuple  # tuple[int, ...]
 
@@ -52,8 +52,7 @@ def check_doubled(vec) -> Weight:
     return vec
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(Record):
     """Hyperoctahedral group element: entry i goes to slot perm[i], scaled
     by signs[i]. Slots and entries are 0-indexed."""
 
@@ -118,8 +117,7 @@ def signed_permutations(n: int):
             yield SignedPermutation(perm, signs)
 
 
-@dataclass(frozen=True)
-class RootDataC:
+class RootDataC(Record):
     """Rank-n type C root data plus the weight multisets used elsewhere.
 
     ``exotic_weights`` is the positive-root multiset with every long root
@@ -173,13 +171,29 @@ def alternating_sum(mu, lam, count) -> int:
     multiplicity formula; ``count`` is any function of one weight.
     """
     check_same_rank(mu, lam)
-    r = rho(len(mu))
-    shifted_mu = tuple(a + b for a, b in zip(mu, r))
+    n = len(mu)
+    r = rho(n)
     shifted_lam = tuple(a + b for a, b in zip(lam, r))
+    # w = (perm, signs), in the order of signed_permutations, with no
+    # SignedPermutation built: sign(w) is the inversion parity of perm,
+    # taken once per perm, times the product of the signs, and slot j of
+    # w(mu + rho) holds signs[i] * (mu + rho)[i] for i = perm^-1(j).
+    signed_mu = []
+    for signs in itertools.product((1, -1), repeat=n):
+        sign = 1
+        coords = []
+        for s, a, b in zip(signs, mu, r):
+            sign *= s
+            coords.append(s * (a + b))
+        signed_mu.append((sign, coords))
     total = 0
-    for w in signed_permutations(len(mu)):
-        arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
-        total += w.sign() * count(arg)
+    for perm in itertools.permutations(range(n)):
+        parity = (-1) ** sum(perm[i] > perm[j]
+                             for i in range(n) for j in range(i + 1, n))
+        source = sorted(range(n), key=perm.__getitem__)
+        for sign, coords in signed_mu:
+            arg = tuple(coords[i] - c for i, c in zip(source, shifted_lam))
+            total += parity * sign * count(arg)
     return total
 
 

@@ -11,7 +11,7 @@ from exoticcone.linalg import (
     nonneg_combination,
 )
 from exoticcone.orbits import centralizer_basis
-from exoticcone.rootdata import weyl_orbit
+from exoticcone.rootdata import rho, signed_permutations, weyl_orbit
 
 
 def brute_kostant(target, summands) -> int:
@@ -76,6 +76,21 @@ def recursive_kostant(target, summands) -> int:
         return total
 
     return rec(0, list(target))
+
+
+def alternating_sum(mu, lam, count) -> int:
+    """Sum over the Weyl group of sign(w) * count(w(mu + rho) - (lam + rho)),
+    one validated ``SignedPermutation`` per term: ``w.act`` places the
+    coordinates and ``w.sign()`` recounts the inversions, so it shares no
+    sign or placement bookkeeping with ``rootdata.alternating_sum``."""
+    r = rho(len(mu))
+    shifted_mu = tuple(a + b for a, b in zip(mu, r))
+    shifted_lam = tuple(a + b for a, b in zip(lam, r))
+    total = 0
+    for w in signed_permutations(len(mu)):
+        arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
+        total += w.sign() * count(arg)
+    return total
 
 
 def hull_contains_lp(lam, mu) -> bool:

@@ -284,6 +284,14 @@ def test_config_validation(tmp_path):
     assert Config().cache_entries >= 1024
 
 
+def test_config_rejects_booleans():
+    for name in ("rank_cap", "degree_cap", "closure_depth", "cache_bytes"):
+        with pytest.raises(DomainError, match=name):
+            Config(**{name: True})
+        with pytest.raises(DomainError, match=name):
+            load_config(None, {name: False})
+
+
 def test_outputs_deterministic():
     first = invoke("weights", "--mu", "[2,1]")
     second = invoke("weights", "--mu", "[2,1]")

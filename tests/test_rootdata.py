@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exoticcone.errors import DomainError
+from exoticcone.kostant import kostant_p, kostant_p_exotic
 from exoticcone.rootdata import (
     SignedPermutation,
+    alternating_sum,
     bwb,
     check_weight,
     coroot_pairing,
@@ -24,6 +27,7 @@ from exoticcone.rootdata import (
     twisted_w0,
     weyl_orbit,
 )
+from oracles import alternating_sum as oracle_alternating_sum
 from oracles import hull_contains_lp, hull_contains_prefix
 
 
@@ -165,6 +169,36 @@ def test_dominant_rep_w_invariant(lam):
     assert is_dominant(rep)
     for u in itertools.islice(W3, 16):
         assert dominant_rep(u.act(lam))[0] == rep
+
+
+def _positive_polynomial(v):
+    """A count that is positive on every argument, so that every term of
+    an alternating sum carries weight. Its degree 2n^2 is at least n^2,
+    the degree of the Weyl denominator: an alternating sum of a polynomial
+    of lower degree vanishes identically and would check no sign."""
+    linear = 1 + sum((2 * i + 3) * c for i, c in enumerate(v))
+    return 1 + linear ** (2 * len(v) ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_alternating_sum_matches_signed_permutation_loop(n):
+    rng = random.Random(n)
+    cases = [((0,) * n, (0,) * n)]
+    while len(cases) < 4:
+        mu = tuple(rng.randint(-3, 3) for _ in range(n))
+        # a singular mu + rho is fixed by a reflection, whose terms cancel
+        # in pairs for every count
+        if bwb(mu) is not None:
+            cases.append((mu, tuple(rng.randint(-2, 2) for _ in range(n))))
+    for mu, lam in cases:
+        want = oracle_alternating_sum(mu, lam, _positive_polynomial)
+        assert want != 0
+        assert alternating_sum(mu, lam, _positive_polynomial) == want
+    mu = (2, 1, 1, 0, 0)[:n]
+    for lam in [(0,) * n, (1,) + (0,) * (n - 1), (1, 1, 0, 0, 0)[:n]]:
+        for count in (kostant_p, kostant_p_exotic):
+            assert alternating_sum(mu, lam, count) == \
+                oracle_alternating_sum(mu, lam, count)
 
 
 def test_weyl_orbit_examples():
