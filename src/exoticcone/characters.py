@@ -14,8 +14,6 @@ The ``e_i`` basis is orthonormal, which fixes every pairing normalization.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InternalInconsistency
 from .kostant import kostant_p
 from .records import Record
@@ -112,17 +110,17 @@ def _freudenthal_table(mu) -> dict:
                 beta = _add(beta, alpha)
                 if _norm2(beta) > top_norm:
                     break
-                m = table.get(dominant_rep(beta)[0], 0)
+                m = table.get(dominant_rep(beta), 0)
                 if m:
                     acc += m * sum(a * b for a, b in zip(beta, alpha))
         denom = shifted_mu_norm - _norm2(_add(lam, r))
-        mult = Fraction(2 * acc, denom)
-        if mult.denominator != 1:
+        mult, rest = divmod(2 * acc, denom)
+        if rest:
             raise InternalInconsistency(
-                f"non-integral Freudenthal value at {lam}: {mult}"
+                f"non-integral Freudenthal value at {lam}: {2 * acc}/{denom}"
             )
         if mult:
-            table[lam] = int(mult)
+            table[lam] = mult
 
     # list() copies the values in one step under the GIL; iterating the
     # live view raised when another thread stored or cleared meanwhile
@@ -138,8 +136,7 @@ def weight_mult_oracle(mu, lam) -> int:
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
     check_same_rank(mu, lam)
-    rep, _ = dominant_rep(lam)
-    return _freudenthal_table(mu).get(rep, 0)
+    return _freudenthal_table(mu).get(dominant_rep(lam), 0)
 
 
 def weyl_dim(mu) -> int:
@@ -148,17 +145,16 @@ def weyl_dim(mu) -> int:
     n = len(mu)
     r = rho(n)
     shifted = _add(mu, r)
-    value = Fraction(1)
+    num = den = 1
     for alpha in root_data(n).positive_roots:
-        value *= Fraction(
-            sum(a * b for a, b in zip(shifted, alpha)),
-            sum(a * b for a, b in zip(r, alpha)),
-        )
-    if value.denominator != 1 or value <= 0:
+        num *= sum(a * b for a, b in zip(shifted, alpha))
+        den *= sum(a * b for a, b in zip(r, alpha))
+    value, rest = divmod(num, den)
+    if rest or value <= 0:
         raise InternalInconsistency(
-            f"Weyl dimension of {mu} came out as {value}"
+            f"Weyl dimension of {mu} came out as {num}/{den}"
         )
-    return int(value)
+    return value
 
 
 class WeightMultiplicityTable(Record):

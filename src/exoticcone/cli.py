@@ -67,13 +67,18 @@ def _check_degree(weight: tuple, cfg: Config, what: str):
         )
 
 
-def _load_pair(path: str) -> orbits.ExoticPair:
+def _load_pair(path: str, cfg: Config) -> orbits.ExoticPair:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    return orbits.pair_from_json(_parse_json_arg(text, path))
+    doc = _parse_json_arg(text, path)
+    # checked before pair_from_json, whose Gram determinant runs for
+    # minutes at an n far above the cap
+    if isinstance(doc, dict) and type(doc.get("n")) is int:
+        _check_rank(doc["n"], cfg)
+    return orbits.pair_from_json(doc)
 
 
 def _bipartition_args(args) -> bp.Bipartition:
@@ -167,8 +172,7 @@ def _cmd_filtration_dims(args, cfg):
 
 
 def _cmd_orbit_identify(args, cfg):
-    pair = _load_pair(args.file)
-    _check_rank(pair.n, cfg)
+    pair = _load_pair(args.file, cfg)
     b = orbits.orbit_of(pair)
     return {"mu": list(b.mu), "nu": list(b.nu)}
 
@@ -180,8 +184,7 @@ def _cmd_representative(args, cfg):
 
 
 def _cmd_adapted(args, cfg):
-    pair = _load_pair(args.file)
-    _check_rank(pair.n, cfg)
+    pair = _load_pair(args.file, cfg)
     solved = False
     if pair.space is None:
         omega = orbits.solve_symplectic_form(pair.x_rows())

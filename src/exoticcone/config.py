@@ -14,8 +14,10 @@ from .records import Record
 
 ENV_VAR = "EXOTICCONE_CONFIG"
 
-# rough bytes per memo entry, used to turn cache_bytes into an entry cap
-_ENTRY_BYTES = 120
+# bytes per memo entry, used to turn cache_bytes into an entry cap: a
+# Kostant memo entry measured 133 B, and 128 makes the default cap the
+# 1 << 19 entries that kostant and characters default to in-process
+_ENTRY_BYTES = 128
 
 
 class Config(Record):

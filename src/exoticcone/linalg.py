@@ -96,10 +96,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum(x * y for x, y in zip(row, v) if x) for row in a]
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_pow(a: Mat, k: int) -> Mat:
     out = identity(len(a))
     for _ in range(k):

@@ -4,11 +4,11 @@ Weights are integer tuples in an orthonormal basis e_1..e_n of the rank-n
 weight lattice (so the standard dot product computes all pairings). The
 Weyl group is the hyperoctahedral group of signed permutations.
 
-Half-integral quantities, i.e. anything shifted by theta = (1/2,...,1/2),
-are handled in doubled integer coordinates: the doubled form of a weight w
-is 2w, and of w + theta is 2w + 1 componentwise. Entries of a doubled
-vector share one parity, which is checked wherever such vectors are built,
-so no floating point or rational rounding ever enters.
+The twisted action w(lam + theta) - theta, theta = (1/2,...,1/2), is again
+integral: a coordinate c moved with sign -1 becomes -c - 1. Theta cancels
+in every twisted hull difference, so the twisted tests compare integer
+weights too, and no floating point or rational rounding ever enters. The
+one rational result is ``coroot_pairing`` against an arbitrary vector.
 """
 
 from __future__ import annotations
@@ -35,23 +35,6 @@ def check_same_rank(mu, lam) -> None:
         raise DomainError("rank mismatch")
 
 
-def doubled(lam) -> Weight:
-    """Doubled coordinates of an integral weight."""
-    return tuple(2 * c for c in lam)
-
-
-def doubled_theta_shift(lam) -> Weight:
-    """Doubled coordinates of lam + theta, always an odd integer vector."""
-    return tuple(2 * c + 1 for c in lam)
-
-
-def check_doubled(vec) -> Weight:
-    vec = tuple(vec)
-    if len({c % 2 for c in vec}) > 1:
-        raise DomainError(f"mixed parity in doubled coordinates: {vec!r}")
-    return vec
-
-
 class SignedPermutation(Record):
     """Hyperoctahedral group element: entry i goes to slot perm[i], scaled
     by signs[i]. Slots and entries are 0-indexed."""
@@ -75,7 +58,8 @@ class SignedPermutation(Record):
         return SignedPermutation(tuple(range(n)), (1,) * n)
 
     def act(self, coords):
-        """Apply to a coordinate vector (plain or doubled)."""
+        """Apply to a coordinate vector: slot perm[i] receives signs[i]
+        times entry i."""
         out = [0] * len(coords)
         for i, c in enumerate(coords):
             out[self.perm[i]] = self.signs[i] * c
@@ -128,11 +112,7 @@ class RootDataC(Record):
     rank: int
     positive_roots: tuple
     exotic_weights: tuple
-    rho_doubled: tuple
-
-    @property
-    def rho(self) -> Weight:
-        return tuple(c // 2 for c in self.rho_doubled)
+    rho: tuple
 
 
 def _unit(n: int, i: int, value: int = 1) -> Weight:
@@ -156,7 +136,7 @@ def root_data(n: int) -> RootDataC:
         rank=n,
         positive_roots=positive,
         exotic_weights=exotic,
-        rho_doubled=tuple(2 * (n - i) for i in range(n)),
+        rho=tuple(range(n, 0, -1)),
     )
 
 
@@ -211,31 +191,21 @@ def require_dominant(lam, name: str = "weight") -> Weight:
     return lam
 
 
-def dominant_rep(lam):
-    """Dominant representative of the W-orbit and a witness w(lam) = rep.
-
-    The representative is the descending sort of absolute values. The
-    witness is deterministic: ties are assigned stably (earlier source
-    entries land in earlier slots) and zero entries keep sign +1.
-    """
-    lam = tuple(lam)
-    n = len(lam)
-    order = sorted(range(n), key=lambda i: (-abs(lam[i]), i))
-    perm = [0] * n
-    signs = [1] * n
-    for slot, src in enumerate(order):
-        perm[src] = slot
-        if lam[src] < 0:
-            signs[src] = -1
-    rep = tuple(abs(lam[i]) for i in order)
-    return rep, SignedPermutation(tuple(perm), tuple(signs))
+def dominant_rep(lam) -> Weight:
+    """Dominant representative of the W-orbit: the descending sort of the
+    absolute values."""
+    return tuple(sorted((abs(c) for c in lam), reverse=True))
 
 
 def twisted_act(w: SignedPermutation, lam) -> Weight:
-    """The theta-shifted action w(lam + theta) - theta, always integral."""
+    """The theta-shifted action w(lam + theta) - theta: entry c lands in
+    slot perm[i] as c under sign +1 and as -c - 1 under sign -1."""
     lam = check_weight(lam)
-    img = check_doubled(w.act(doubled_theta_shift(lam)))
-    return tuple((c - 1) // 2 for c in img)
+    check_same_rank(w.perm, lam)
+    out = [0] * len(lam)
+    for c, slot, s in zip(lam, w.perm, w.signs):
+        out[slot] = c if s == 1 else -c - 1
+    return tuple(out)
 
 
 def twisted_w0(lam) -> Weight:
@@ -257,8 +227,13 @@ def bwb(lam):
     magnitudes = [abs(c) for c in shifted]
     if 0 in magnitudes or len(set(magnitudes)) < len(lam):
         return None
-    rep, w = dominant_rep(shifted)
-    return w.sign(), tuple(a - b for a, b in zip(rep, r))
+    # w flips the negative entries, then sorts the magnitudes descending;
+    # its sign counts the flips and the pairs that the sort reverses
+    flips = sum(c < 0 for c in shifted)
+    reversed_pairs = sum(a < b for i, a in enumerate(magnitudes)
+                         for b in magnitudes[i + 1:])
+    sign = -1 if (flips + reversed_pairs) % 2 else 1
+    return sign, tuple(a - b for a, b in zip(dominant_rep(shifted), r))
 
 
 def weyl_orbit(mu) -> set:
@@ -317,33 +292,31 @@ def in_conv(lam, mu) -> bool:
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
     check_same_rank(mu, lam)
-    rep, _ = dominant_rep(lam)
-    return in_root_cone([a - b for a, b in zip(mu, rep)])
+    return in_root_cone([a - b for a, b in zip(mu, dominant_rep(lam))])
 
 
 def in_conv0(lam, mu) -> bool:
     mu = require_dominant(mu, "mu")
-    rep, _ = dominant_rep(lam)
-    return rep != tuple(mu) and in_conv(lam, mu)
+    return dominant_rep(lam) != mu and in_conv(lam, mu)
 
 
-def _tconv_reps(lam, mu):
-    a, _ = dominant_rep(doubled_theta_shift(check_weight(lam)))
-    b, _ = dominant_rep(doubled_theta_shift(check_weight(mu)))
-    return a, b
+def _twisted_rep(lam) -> Weight:
+    """The rep with rep + theta dominant in the twisted orbit of lam: the
+    descending sort of max(c, -c - 1) = |c + 1/2| - 1/2."""
+    return tuple(sorted((max(c, -c - 1) for c in check_weight(lam)),
+                        reverse=True))
 
 
 def in_tconv(lam, mu) -> bool:
     """Hull membership for the twisted action: lam + theta against the
-    orbit of mu + theta, decided on doubled coordinates."""
-    a, b = _tconv_reps(lam, mu)
+    orbit of mu + theta. Theta cancels in the difference of the reps."""
+    a, b = _twisted_rep(lam), _twisted_rep(mu)
     check_same_rank(a, b)
     return in_root_cone([x - y for x, y in zip(b, a)])
 
 
 def in_tconv0(lam, mu) -> bool:
-    a, b = _tconv_reps(lam, mu)
-    return a != b and in_tconv(lam, mu)
+    return _twisted_rep(lam) != _twisted_rep(mu) and in_tconv(lam, mu)
 
 
 def quasi_order(weights) -> list:
@@ -354,9 +327,5 @@ def quasi_order(weights) -> list:
     lexicographically on coordinates.
     """
     items = [require_dominant(w) for w in weights]
-
-    def key(lam):
-        d = doubled_theta_shift(lam)
-        return (sum(c * c for c in d), lam)
-
-    return sorted(items, key=key)
+    return sorted(items, key=lambda lam: (
+        sum((2 * c + 1) ** 2 for c in lam), lam))

@@ -93,6 +93,44 @@ def alternating_sum(mu, lam, count) -> int:
     return total
 
 
+def bwb(lam):
+    """Regularization by search: the w among all signed permutations with
+    w(lam + rho) strictly dominant, or None when there is none. It builds
+    rho = (n, ..., 1) itself, apart from ``rootdata.rho``."""
+    r = tuple(range(len(lam), 0, -1))
+    shifted = tuple(a + b for a, b in zip(lam, r))
+    for w in signed_permutations(len(lam)):
+        img = w.act(shifted)
+        if all(a > b for a, b in zip(img, img[1:] + (0,))):
+            return w.sign(), tuple(a - b for a, b in zip(img, r))
+    return None
+
+
+# -- the twisted action in doubled coordinates: the reference for rootdata ---
+
+def twisted_act(w, lam):
+    """w(lam + theta) - theta through the doubled coordinates 2 lam + 1,
+    which w moves as a plain vector and which stay odd."""
+    img = w.act(tuple(2 * c + 1 for c in lam))
+    assert all(c % 2 for c in img)
+    return tuple((c - 1) // 2 for c in img)
+
+
+def _doubled_dominant(lam) -> tuple:
+    return tuple(sorted((abs(2 * c + 1) for c in lam), reverse=True))
+
+
+def in_tconv(lam, mu) -> bool:
+    """2 lam + 1 in the hull of the orbit of 2 mu + 1."""
+    return hull_contains_prefix(tuple(2 * c + 1 for c in lam),
+                                _doubled_dominant(mu))
+
+
+def in_tconv0(lam, mu) -> bool:
+    return _doubled_dominant(lam) != _doubled_dominant(mu) and \
+        in_tconv(lam, mu)
+
+
 def hull_contains_lp(lam, mu) -> bool:
     """Hull membership as feasibility of a convex combination over every
     orbit point (a different constraint system from the cone test)."""

@@ -22,7 +22,7 @@ from exoticcone.rootdata import (
 def dominant2(bound=3):
     return (
         st.lists(st.integers(0, bound), min_size=2, max_size=2)
-        .map(lambda w: dominant_rep(tuple(w))[0])
+        .map(lambda w: dominant_rep(tuple(w)))
     )
 
 

@@ -1,10 +1,13 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+from exoticcone import orbits
 from exoticcone.cli import run
 from exoticcone.config import ENV_VAR, Config, load_config
 from exoticcone.errors import DomainError
@@ -155,6 +158,39 @@ def test_rank_cap_names_knob():
     code, out, err = invoke("sweep", "--n", "2", "--bound", "-1")
     assert code == 1 and out == ""
     assert "bound must be nonnegative" in err
+
+
+def test_pair_file_rank_cap_comes_before_the_gram_determinant(
+        tmp_path, monkeypatch):
+    n = 9
+    zero = orbits.ExoticPair(v=(0,) * (2 * n), x=((0,) * (2 * n),) * (2 * n),
+                             space=orbits.standard_form(n))
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(orbits.pair_to_json(zero)))
+
+    def det(_):
+        raise AssertionError("Gram determinant taken above rank_cap")
+
+    monkeypatch.setattr(orbits.linalg, "det", det)
+    for command in ("orbit-identify", "adapted"):
+        code, out, err = invoke(command, "--file", str(path))
+        assert code == 1 and out == ""
+        assert "rank_cap" in err
+
+
+def test_cli_memo_cap_is_the_library_default():
+    # a fresh interpreter: run() reconfigures both memos in-process
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("from exoticcone import characters, kostant; "
+             "from exoticcone.config import Config; "
+             "print(Config().cache_entries, kostant._cache_cap, "
+             "characters._cache_cap)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [str(1 << 19)] * 3
 
 
 def test_degree_cap_guards_mult_and_kostant():

@@ -28,7 +28,7 @@ def _root_data_fields():
     data = root_data(2)
     return {"rank": 2, "positive_roots": data.positive_roots,
             "exotic_weights": data.exotic_weights,
-            "rho_doubled": data.rho_doubled}
+            "rho": data.rho}
 
 
 # (class, its fields in order, a function giving fresh field values)
@@ -46,7 +46,7 @@ RECORDS = [
               "orbit": bipartition((1,), ())}),
     (SignedPermutation, ("perm", "signs"),
      lambda: {"perm": (1, 0), "signs": (1, -1)}),
-    (RootDataC, ("rank", "positive_roots", "exotic_weights", "rho_doubled"),
+    (RootDataC, ("rank", "positive_roots", "exotic_weights", "rho"),
      _root_data_fields),
     (FiltrationProfile, ("n", "levels"),
      lambda: {"n": 1, "levels": ((0, 2), (1, 1), (2, 0))}),

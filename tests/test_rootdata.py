@@ -27,6 +27,7 @@ from exoticcone.rootdata import (
     twisted_w0,
     weyl_orbit,
 )
+import oracles
 from oracles import alternating_sum as oracle_alternating_sum
 from oracles import hull_contains_lp, hull_contains_prefix
 
@@ -38,7 +39,7 @@ def weights(n, bound=5):
 
 
 def dominant_weights(n, bound=4):
-    return weights(n, bound).map(lambda w: dominant_rep(w)[0])
+    return weights(n, bound).map(dominant_rep)
 
 
 def test_check_weight_rejects_booleans():
@@ -57,7 +58,6 @@ def test_root_data_counts_and_constants():
         assert len(data.positive_roots) == n * n
         assert len(data.exotic_weights) == n * n
         assert data.rho == tuple(range(n, 0, -1))
-        assert data.rho_doubled == tuple(2 * (n - i) for i in range(n))
 
 
 def test_is_dominant_examples():
@@ -68,18 +68,9 @@ def test_is_dominant_examples():
 
 
 def test_dominant_rep_examples():
-    rep, w = dominant_rep((3, -1))
-    assert rep == (3, 1)
-    assert w.act((3, -1)) == (3, 1)
-    assert w.perm == (0, 1) and w.signs == (1, -1)
-
-    rep, w = dominant_rep((1, 2))
-    assert rep == (2, 1)
-    assert w.perm == (1, 0) and w.signs == (1, 1)
-
-    rep, w = dominant_rep((0, 0))
-    assert rep == (0, 0)
-    assert w == SignedPermutation.identity(2)
+    assert dominant_rep((3, -1)) == (3, 1)
+    assert dominant_rep((1, 2)) == (2, 1)
+    assert dominant_rep((0, 0)) == (0, 0)
 
 
 def test_sgn_examples():
@@ -145,6 +136,40 @@ def test_twisted_w0_examples():
         assert twisted_act(w0, lam) == twisted_w0(lam)
 
 
+def _box(n, bound=4):
+    return list(itertools.product(range(-bound, bound + 1), repeat=n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bwb_agrees_with_search_exhaustive(n):
+    singular = 0
+    for lam in _box(n):
+        want = oracles.bwb(lam)
+        singular += want is None
+        assert bwb(lam) == want, lam
+    assert 0 < singular < len(_box(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_twisted_act_agrees_with_doubled_exhaustive(n):
+    group = list(signed_permutations(n))
+    for lam in _box(n):
+        for w in group:
+            assert twisted_act(w, lam) == oracles.twisted_act(w, lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_in_tconv_agrees_with_doubled_exhaustive(n):
+    box = _box(n)
+    # in_tconv sees mu only through its twisted rep, the one point of its
+    # twisted orbit with mu + theta dominant: every c >= 0, descending
+    reps = [mu for mu in box if is_dominant(mu)]
+    for mu in reps + box[::37]:
+        for lam in box:
+            assert in_tconv(lam, mu) == oracles.in_tconv(lam, mu)
+            assert in_tconv0(lam, mu) == oracles.in_tconv0(lam, mu)
+
+
 def test_bwb_examples():
     assert bwb((3, 1)) == (1, (3, 1))
     assert bwb((-2, 1)) is None
@@ -164,11 +189,11 @@ def test_bwb_round_trip_rank3(lam):
 @given(weights(3))
 @settings(max_examples=40)
 def test_dominant_rep_w_invariant(lam):
-    rep, w = dominant_rep(lam)
-    assert w.act(lam) == rep
+    rep = dominant_rep(lam)
+    assert rep in weyl_orbit(lam)
     assert is_dominant(rep)
     for u in itertools.islice(W3, 16):
-        assert dominant_rep(u.act(lam))[0] == rep
+        assert dominant_rep(u.act(lam)) == rep
 
 
 def _positive_polynomial(v):
@@ -213,9 +238,7 @@ def test_weyl_orbit_size_divides_group_order(lam):
     order = 2**3 * 6
     size = len(weyl_orbit(lam))
     assert order % size == 0
-    assert {dominant_rep(v)[0] for v in weyl_orbit(lam)} == {
-        dominant_rep(lam)[0]
-    }
+    assert {dominant_rep(v) for v in weyl_orbit(lam)} == {dominant_rep(lam)}
 
 
 def test_coroot_pairing_examples():
@@ -274,7 +297,7 @@ def test_in_tconv_examples():
 def test_in_tconv_matches_shifted_hull(lam, mu):
     # membership of 2 lam + 1 in the hull of the orbit of 2 mu + 1
     dl = tuple(2 * c + 1 for c in lam)
-    dm = dominant_rep(tuple(2 * c + 1 for c in mu))[0]
+    dm = dominant_rep(tuple(2 * c + 1 for c in mu))
     got = in_tconv(lam, mu)
     assert got == hull_contains_prefix(dl, dm)
     # the LP shares no code with the prefix-sum test in the library
