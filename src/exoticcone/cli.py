@@ -1,19 +1,20 @@
 """Command-line surface: every operation with JSON in and JSON out.
 
 Exit codes: 0 on success, 1 on a domain error (bad input, malformed JSON,
-a configured cap exceeded), 2 on an internal inconsistency (a state the
-underlying theory rules out, e.g. a negative multiplicity or a non-unique
-adapted filtration).
+a configured cap exceeded) or when the reader closes stdout early, 2 on an
+internal inconsistency (a state the underlying theory rules out, e.g. a
+negative multiplicity or a non-unique adapted filtration).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bipartitions as bp
-from . import characters, kostant, orbits, sections
+from . import characters, kostant, orbits, rootdata, sections
 from .config import Config, load_config
 from .errors import (
     EXIT_DOMAIN,
@@ -23,7 +24,6 @@ from .errors import (
     DomainError,
     InternalInconsistency,
 )
-from .rootdata import bwb as bwb_op, in_conv
 
 
 def _parse_json_arg(text: str, what: str):
@@ -94,6 +94,8 @@ def _cmd_mult(args, cfg):
     lam = _ranked_weight(args, "lam", cfg, "lambda")
     _check_degree(mu, cfg, "mu")
     _check_degree(lam, cfg, "lambda")
+    kostant.configure_cache(cfg.cache_entries)
+    characters.configure_cache(cfg.cache_entries)
     out = {}
     if args.route in ("a", "both"):
         out["a"] = sections.h0_mult(mu, lam)
@@ -107,13 +109,14 @@ def _cmd_mult(args, cfg):
 def _cmd_kostant(args, cfg):
     mu = _ranked_weight(args, "mu", cfg, "mu")
     _check_degree(mu, cfg, "mu")
+    kostant.configure_cache(cfg.cache_entries)
     fn = kostant.kostant_p if args.kind == "p" else kostant.kostant_p_exotic
     return {"value": fn(mu)}
 
 
 def _cmd_bwb(args, cfg):
     lam = _ranked_weight(args, "lam", cfg, "lambda")
-    result = bwb_op(lam)
+    result = rootdata.bwb(lam)
     if result is None:
         return {"zero": True}
     sign, mu = result
@@ -123,6 +126,7 @@ def _cmd_bwb(args, cfg):
 def _cmd_weights(args, cfg):
     mu = _ranked_weight(args, "mu", cfg, "mu")
     _check_degree(mu, cfg, "mu")
+    characters.configure_cache(cfg.cache_entries)
     table = characters.all_weights(mu)
     entries = sorted(table.entries.items(), reverse=True)
     return {
@@ -224,7 +228,7 @@ def _sweep_cell(mu, lam):
         problems.append("route_disagreement")
     if a < 0 or b < 0:
         problems.append("negative")
-    if not in_conv(lam, mu) and a != 0:
+    if not rootdata.in_conv(lam, mu) and a != 0:
         problems.append("support")
     return {"mu": list(mu), "lambda": list(lam), "a": a, "b": b,
             "problems": problems}
@@ -239,6 +243,8 @@ def _cmd_sweep(args, cfg):
             "degree_cap",
             f"bound={args.bound} exceeds degree_cap={cfg.degree_cap}",
         )
+    kostant.configure_cache(cfg.cache_entries)
+    characters.configure_cache(cfg.cache_entries)
     grid = []
     for k in range(args.bound + 1):
         grid.extend(sections.dominant_weights_of_degree(args.n, k))
@@ -346,8 +352,6 @@ def run(argv) -> int:
                         "cache_bytes")
         }
         cfg = load_config(args.config, overrides)
-        kostant.configure_cache(cfg.cache_entries)
-        characters.configure_cache(cfg.cache_entries)
         result = args.handler(args, cfg)
     except CapExceeded as exc:
         print(f"error: {exc} (config knob: {exc.knob})", file=sys.stderr)
@@ -371,4 +375,12 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe (``| head``); point stdout at devnull
+        # so the interpreter's flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_DOMAIN
+    sys.exit(code)

@@ -7,14 +7,12 @@ Weyl group is the hyperoctahedral group of signed permutations.
 The twisted action w(lam + theta) - theta, theta = (1/2,...,1/2), is again
 integral: a coordinate c moved with sign -1 becomes -c - 1. Theta cancels
 in every twisted hull difference, so the twisted tests compare integer
-weights too, and no floating point or rational rounding ever enters. The
-one rational result is ``coroot_pairing`` against an arbitrary vector.
+weights too, and no floating point or rational rounding ever enters.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError
@@ -260,16 +258,6 @@ def weyl_orbit(mu) -> set:
                     fresh.append(u)
         frontier = fresh
     return seen
-
-
-def coroot_pairing(lam, alpha) -> Fraction:
-    """<lam, alpha-check> = 2 (lam, alpha) / (alpha, alpha)."""
-    alpha = tuple(alpha)
-    norm = sum(c * c for c in alpha)
-    if norm == 0:
-        raise DomainError("pairing against the zero vector")
-    num = sum(a * b for a, b in zip(lam, alpha))
-    return Fraction(2 * num, norm)
 
 
 def in_root_cone(vec) -> bool:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from exoticcone.errors import DomainError
 from exoticcone.linalg import (
     Mat,
     frac,
@@ -104,6 +105,17 @@ def bwb(lam):
         if all(a > b for a, b in zip(img, img[1:] + (0,))):
             return w.sign(), tuple(a - b for a, b in zip(img, r))
     return None
+
+
+def coroot_pairing(lam, alpha) -> Fraction:
+    """<lam, alpha-check> = 2 (lam, alpha) / (alpha, alpha) for any
+    nonzero vector alpha."""
+    alpha = tuple(alpha)
+    norm = sum(c * c for c in alpha)
+    if norm == 0:
+        raise DomainError("pairing against the zero vector")
+    num = sum(a * b for a, b in zip(lam, alpha))
+    return Fraction(2 * num, norm)
 
 
 # -- the twisted action in doubled coordinates: the reference for rootdata ---

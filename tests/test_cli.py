@@ -332,3 +332,21 @@ def test_outputs_deterministic():
     first = invoke("weights", "--mu", "[2,1]")
     second = invoke("weights", "--mu", "[2,1]")
     assert first == second
+
+
+def test_closed_stdout_pipe_prints_no_traceback():
+    # 170 KB of weights: more than a pipe buffer holds, so the write is
+    # still pending when the reader goes away
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exoticcone", "weights", "--mu",
+         "[6,0,0,0,0,0]"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err

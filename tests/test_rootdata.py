@@ -13,7 +13,6 @@ from exoticcone.rootdata import (
     alternating_sum,
     bwb,
     check_weight,
-    coroot_pairing,
     dominant_rep,
     in_conv,
     in_conv0,
@@ -242,12 +241,12 @@ def test_weyl_orbit_size_divides_group_order(lam):
 
 
 def test_coroot_pairing_examples():
-    assert coroot_pairing((1, 0), (2, 0)) == 1
-    assert coroot_pairing((1, 0), (1, -1)) == 1
-    assert coroot_pairing((1, 1), (1, -1)) == 0
-    assert coroot_pairing((1, 0), (1, 0)) == Fraction(2)
+    assert oracles.coroot_pairing((1, 0), (2, 0)) == 1
+    assert oracles.coroot_pairing((1, 0), (1, -1)) == 1
+    assert oracles.coroot_pairing((1, 1), (1, -1)) == 0
+    assert oracles.coroot_pairing((1, 0), (1, 0)) == Fraction(2)
     with pytest.raises(DomainError):
-        coroot_pairing((1, 0), (0, 0))
+        oracles.coroot_pairing((1, 0), (0, 0))
 
 
 def test_in_conv_examples():
@@ -302,6 +301,13 @@ def test_in_tconv_matches_shifted_hull(lam, mu):
     assert got == hull_contains_prefix(dl, dm)
     # the LP shares no code with the prefix-sum test in the library
     assert got == hull_contains_lp(dl, dm)
+
+
+def test_quasi_order_key_is_the_norm_of_2lam_plus_1():
+    # sum (2c + 1)^2 reads 29 < 37; a key of sum (2c)^2 ties them at 16,
+    # and the lexicographic tie-break would put (1,1,1,1,0) first
+    assert quasi_order([(1, 1, 1, 1, 0), (2, 0, 0, 0, 0)]) == [
+        (2, 0, 0, 0, 0), (1, 1, 1, 1, 0)]
 
 
 def test_quasi_order_examples():
