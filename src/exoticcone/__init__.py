@@ -4,14 +4,17 @@ multiplicities, the bipartition orbit poset with its collapse maps, and
 rational-arithmetic orbit classification of pairs (v, x).
 
 The seven computing submodules load on first use: importing the package
-registers each in ``sys.modules`` and compiles and runs it on its first
-attribute access, so a CLI process pays only for the modules its command
-reaches. Package-level names such as ``exoticcone.orbit_of`` still resolve
-to the submodule's function.
+registers each in ``sys.modules`` and compiles and runs it on the first
+read of an attribute it lacks, so a CLI process pays only for the modules
+its command reaches. That first read is safe from any number of threads.
+Package-level names such as ``exoticcone.orbit_of`` still resolve to the
+submodule's function.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 from .config import Config, load_config
 from .errors import (
@@ -46,12 +49,30 @@ _EXPORTS = {
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}
 
+# one lock for every submodule: a module's code imports the submodules it
+# needs, which the running thread may then load too
+_LOCK = threading.RLock()
+
+
+class _LazyModule(types.ModuleType):
+    """A registered submodule whose code has not run. Its first read of a
+    missing attribute runs the code under the package lock, and only then
+    makes it a plain module, so no thread sees it half run."""
+
+    def __getattr__(self, attr):
+        with _LOCK:
+            # another thread may have run it while this one waited
+            if type(self) is _LazyModule:
+                self.__spec__.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return getattr(self, attr)
+
+
 for _name in _EXPORTS:
-    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    _module = importlib.util.module_from_spec(_spec)
-    sys.modules[_spec.name] = globals()[_name] = _module
-    _spec.loader.exec_module(_module)
+    _module = importlib.util.module_from_spec(
+        importlib.util.find_spec(f"{__name__}.{_name}"))
+    _module.__class__ = _LazyModule
+    sys.modules[_module.__name__] = globals()[_name] = _module
 
 
 def __getattr__(name):

@@ -1,14 +1,18 @@
 """Command-line surface: every operation with JSON in and JSON out.
 
-Exit codes: 0 on success, 1 on a domain error (bad input, malformed JSON,
-a configured cap exceeded) or when the reader closes stdout early, 2 on an
-internal inconsistency (a state the underlying theory rules out, e.g. a
-negative multiplicity or a non-unique adapted filtration).
+``exoticcone [--knob value]... COMMAND [--flag value]...`` is parsed from
+the one table ``COMMANDS``; ``--flag=value`` also works, and flag names
+must match exactly.
+
+Exit codes: 0 on success or after -h/--help, 1 on a usage error, a domain
+error (bad input, malformed JSON, a configured cap exceeded) or when the
+reader closes stdout early, 2 on an internal inconsistency (a state the
+underlying theory rules out, e.g. a negative multiplicity or a non-unique
+adapted filtration).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -50,10 +54,11 @@ def _check_rank(n: int, cfg: Config):
         raise DomainError("n must be nonnegative")
 
 
-def _ranked_weight(args, attr: str, cfg: Config, what: str) -> tuple:
-    lam = _weight_arg(getattr(args, attr), what)
-    if args.n is not None and args.n != len(lam):
-        raise DomainError(f"--n {args.n} does not match len({what})={len(lam)}")
+def _ranked_weight(args, what: str, cfg: Config) -> tuple:
+    lam = _weight_arg(args[what], what)
+    if args["n"] is not None and args["n"] != len(lam):
+        raise DomainError(
+            f"--n {args['n']} does not match len({what})={len(lam)}")
     _check_rank(len(lam), cfg)
     return lam
 
@@ -82,40 +87,40 @@ def _load_pair(path: str, cfg: Config) -> orbits.ExoticPair:
 
 
 def _bipartition_args(args) -> bp.Bipartition:
-    mu = _weight_arg(args.mu, "mu")
-    nu = _weight_arg(args.nu, "nu")
+    mu = _weight_arg(args["mu"], "mu")
+    nu = _weight_arg(args["nu"], "nu")
     return bp.bipartition(mu, nu)
 
 
 # -- subcommand handlers -----------------------------------------------------
 
 def _cmd_mult(args, cfg):
-    mu = _ranked_weight(args, "mu", cfg, "mu")
-    lam = _ranked_weight(args, "lam", cfg, "lambda")
+    mu = _ranked_weight(args, "mu", cfg)
+    lam = _ranked_weight(args, "lambda", cfg)
     _check_degree(mu, cfg, "mu")
     _check_degree(lam, cfg, "lambda")
     kostant.configure_cache(cfg.cache_entries)
     characters.configure_cache(cfg.cache_entries)
     out = {}
-    if args.route in ("a", "both"):
+    if args["route"] in ("a", "both"):
         out["a"] = sections.h0_mult(mu, lam)
-    if args.route in ("b", "both"):
+    if args["route"] in ("b", "both"):
         out["b"] = sections.h0_mult_subsets(mu, lam)
-    if args.route == "both":
+    if args["route"] == "both":
         out["agree"] = out["a"] == out["b"]
     return out
 
 
 def _cmd_kostant(args, cfg):
-    mu = _ranked_weight(args, "mu", cfg, "mu")
+    mu = _ranked_weight(args, "mu", cfg)
     _check_degree(mu, cfg, "mu")
     kostant.configure_cache(cfg.cache_entries)
-    fn = kostant.kostant_p if args.kind == "p" else kostant.kostant_p_exotic
+    fn = kostant.kostant_p if args["kind"] == "p" else kostant.kostant_p_exotic
     return {"value": fn(mu)}
 
 
 def _cmd_bwb(args, cfg):
-    lam = _ranked_weight(args, "lam", cfg, "lambda")
+    lam = _ranked_weight(args, "lambda", cfg)
     result = rootdata.bwb(lam)
     if result is None:
         return {"zero": True}
@@ -124,7 +129,7 @@ def _cmd_bwb(args, cfg):
 
 
 def _cmd_weights(args, cfg):
-    mu = _ranked_weight(args, "mu", cfg, "mu")
+    mu = _ranked_weight(args, "mu", cfg)
     _check_degree(mu, cfg, "mu")
     characters.configure_cache(cfg.cache_entries)
     table = characters.all_weights(mu)
@@ -137,10 +142,10 @@ def _cmd_weights(args, cfg):
 
 
 def _cmd_poset(args, cfg):
-    _check_rank(args.n, cfg)
-    if args.dot:
-        return bp.emit_dot(args.n)
-    nodes = bp.enumerate_Q(args.n)
+    _check_rank(args["n"], cfg)
+    if args["dot"]:
+        return bp.emit_dot(args["n"])
+    nodes = bp.enumerate_Q(args["n"])
     index = {b: i for i, b in enumerate(nodes)}
     return {
         "nodes": [
@@ -151,7 +156,7 @@ def _cmd_poset(args, cfg):
             }
             for b in nodes
         ],
-        "edges": [[index[lo], index[hi]] for lo, hi in bp.hasse(args.n)],
+        "edges": [[index[lo], index[hi]] for lo, hi in bp.hasse(args["n"])],
     }
 
 
@@ -176,7 +181,7 @@ def _cmd_filtration_dims(args, cfg):
 
 
 def _cmd_orbit_identify(args, cfg):
-    pair = _load_pair(args.file, cfg)
+    pair = _load_pair(args["file"], cfg)
     b = orbits.orbit_of(pair)
     return {"mu": list(b.mu), "nu": list(b.nu)}
 
@@ -188,7 +193,7 @@ def _cmd_representative(args, cfg):
 
 
 def _cmd_adapted(args, cfg):
-    pair = _load_pair(args.file, cfg)
+    pair = _load_pair(args["file"], cfg)
     solved = False
     if pair.space is None:
         omega = orbits.solve_symplectic_form(pair.x_rows())
@@ -235,124 +240,144 @@ def _sweep_cell(mu, lam):
 
 
 def _cmd_sweep(args, cfg):
-    _check_rank(args.n, cfg)
-    if args.bound < 0:
+    n, bound = args["n"], args["bound"]
+    _check_rank(n, cfg)
+    if bound < 0:
         raise DomainError("bound must be nonnegative")
-    if args.bound > cfg.degree_cap:
+    if bound > cfg.degree_cap:
         raise CapExceeded(
             "degree_cap",
-            f"bound={args.bound} exceeds degree_cap={cfg.degree_cap}",
+            f"bound={bound} exceeds degree_cap={cfg.degree_cap}",
         )
     kostant.configure_cache(cfg.cache_entries)
     characters.configure_cache(cfg.cache_entries)
     grid = []
-    for k in range(args.bound + 1):
-        grid.extend(sections.dominant_weights_of_degree(args.n, k))
+    for k in range(bound + 1):
+        grid.extend(sections.dominant_weights_of_degree(n, k))
     results = [_sweep_cell(mu, lam) for mu in grid for lam in grid]
     violations = [r for r in results if r["problems"]]
     return {
-        "n": args.n,
-        "bound": args.bound,
+        "n": n,
+        "bound": bound,
         "cells": len(results),
         "violations": violations,
         "ok": not violations,
     }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="exoticcone",
-        description="Exact computations around the exotic nilpotent cone "
-                    "of Sp(2n).",
-    )
-    parser.add_argument("--config", help="path to a key=value config file")
-    parser.add_argument("--rank-cap", type=int, dest="rank_cap")
-    parser.add_argument("--degree-cap", type=int, dest="degree_cap")
-    parser.add_argument("--closure-depth", type=int, dest="closure_depth")
-    parser.add_argument("--cache-bytes", type=int, dest="cache_bytes")
-    sub = parser.add_subparsers(dest="command", required=True)
+# -- the command table and its parser ----------------------------------------
 
-    p = sub.add_parser("mult", help="section multiplicity of V_mu")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--lambda", required=True, dest="lam")
-    p.add_argument("--route", choices=["a", "b", "both"], default="a")
-    p.set_defaults(handler=_cmd_mult)
+# command: (handler, help, flags). A flag is (type, default): the type is
+# int, str, bool (a switch that takes no value) or a tuple of the accepted
+# values, and the default REQUIRED makes the flag required.
+REQUIRED = object()
+_N, _FILE = {"n": (int, None)}, {"file": (str, REQUIRED)}
+_MU, _LAM = {"mu": (str, REQUIRED)}, {"lambda": (str, REQUIRED)}
+_PAIR = _MU | {"nu": (str, REQUIRED)}
+COMMANDS = {
+    "mult": (_cmd_mult, "section multiplicity of V_mu",
+             _N | _MU | _LAM | {"route": (("a", "b", "both"), "a")}),
+    "kostant": (_cmd_kostant, "partition count of a weight",
+                {"kind": (("p", "p'"), REQUIRED)} | _N | _MU),
+    "bwb": (_cmd_bwb, "dominant-chamber regularization", _N | _LAM),
+    "weights": (_cmd_weights, "weight diagram of V_mu", _N | _MU),
+    "poset": (_cmd_poset, "bipartition poset / Hasse diagram",
+              {"n": (int, REQUIRED), "dot": (bool, False)}),
+    "phic": (_cmd_phic, "collapse a bipartition to a partition", _PAIR),
+    "collapse": (_cmd_collapse,
+                 "round trip to the distinguished bipartition", _PAIR),
+    "filtration-dims": (_cmd_filtration_dims,
+                        "dimension profile of the adapted filtration", _PAIR),
+    "orbit-identify": (_cmd_orbit_identify,
+                       "classify a pair from a JSON file", _FILE),
+    "representative": (_cmd_representative, "build a point of an orbit",
+                       _PAIR),
+    "adapted": (_cmd_adapted, "adapted filtration of a pair", _FILE),
+    "sweep": (_cmd_sweep, "route-agreement and nonnegativity grid",
+              {"n": (int, REQUIRED), "bound": (int, REQUIRED)}),
+}
+# the global flags, given before the command: a config file and each knob
+_KNOBS = {"config": (str, None),
+          **{name.replace("_", "-"): (int, None) for name in Config._fields}}
 
-    p = sub.add_parser("kostant", help="partition count of a weight")
-    p.add_argument("--kind", choices=["p", "p'"], required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(handler=_cmd_kostant)
 
-    p = sub.add_parser("bwb", help="dominant-chamber regularization")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambda", required=True, dest="lam")
-    p.set_defaults(handler=_cmd_bwb)
+def _usage(flags) -> str:
+    words = []
+    for name, (kind, default) in flags.items():
+        word = f"--{name}"
+        if type(kind) is tuple:
+            word += " {" + ",".join(kind) + "}"
+        elif kind is not bool:
+            word += " N" if kind is int else " " + name.upper()
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words)
 
-    p = sub.add_parser("weights", help="weight diagram of V_mu")
-    p.add_argument("--n", type=int)
-    p.add_argument("--mu", required=True)
-    p.set_defaults(handler=_cmd_weights)
 
-    p = sub.add_parser("poset", help="bipartition poset / Hasse diagram")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(handler=_cmd_poset)
+def _help(command) -> str:
+    lines = [f"usage: exoticcone {_usage(_KNOBS)} COMMAND [--flag VALUE]..."]
+    for name in [command] if command else COMMANDS:
+        _, text, flags = COMMANDS[name]
+        lines += [f"{name}: {text}", f"    {_usage(flags)}"]
+    return "\n".join(lines)
 
-    p = sub.add_parser("phic", help="collapse a bipartition to a partition")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(handler=_cmd_phic)
 
-    p = sub.add_parser("collapse", help="round trip to the distinguished "
-                                        "bipartition")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(handler=_cmd_collapse)
-
-    p = sub.add_parser("filtration-dims", help="dimension profile of the "
-                                               "adapted filtration")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(handler=_cmd_filtration_dims)
-
-    p = sub.add_parser("orbit-identify", help="classify a pair from a JSON "
-                                              "file")
-    p.add_argument("--file", required=True)
-    p.set_defaults(handler=_cmd_orbit_identify)
-
-    p = sub.add_parser("representative", help="build a point of an orbit")
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(handler=_cmd_representative)
-
-    p = sub.add_parser("adapted", help="adapted filtration of a pair")
-    p.add_argument("--file", required=True)
-    p.set_defaults(handler=_cmd_adapted)
-
-    p = sub.add_parser("sweep", help="route-agreement and nonnegativity grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_sweep)
-
-    return parser
+def _parse(argv):
+    """Read ``[--knob value]... COMMAND [--flag value]...`` as (command,
+    flag values, knob values); the values are None when -h asks for help."""
+    command, knobs, flags, values = None, None, _KNOBS, {}
+    rest = iter(argv)
+    for arg in rest:
+        where = f"{command}: " if command else ""
+        if arg in ("-h", "--help"):
+            return command, None, None
+        if not arg.startswith("--"):
+            if command:
+                raise DomainError(f"{where}unexpected argument {arg!r}")
+            if arg not in COMMANDS:
+                raise DomainError(f"unknown command {arg!r}")
+            command, knobs, flags, values = arg, values, COMMANDS[arg][2], {}
+            continue
+        name, eq, value = arg[2:].partition("=")
+        if name not in flags:
+            raise DomainError(f"{where}unknown flag --{name}")
+        kind = flags[name][0]
+        if kind is bool:
+            if eq:
+                raise DomainError(f"{where}--{name} takes no value")
+            value = True
+        elif not eq:
+            value = next(rest, "--")
+            if value.startswith("--"):
+                raise DomainError(f"{where}--{name} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainError(f"{where}--{name} must be an integer, "
+                                  f"not {value!r}") from None
+        elif type(kind) is tuple and value not in kind:
+            raise DomainError(f"{where}--{name} must be one of "
+                              f"{', '.join(kind)}, not {value!r}")
+        values[name] = value
+    if command is None:
+        raise DomainError("no command given (see --help)")
+    for name, (_, default) in flags.items():
+        if default is REQUIRED and name not in values:
+            raise DomainError(f"{command}: --{name} is required")
+        values.setdefault(name, default)
+    return command, values, knobs
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_DOMAIN if exc.code else EXIT_OK
-    try:
-        overrides = {
-            key: getattr(args, key)
-            for key in ("rank_cap", "degree_cap", "closure_depth",
-                        "cache_bytes")
-        }
-        cfg = load_config(args.config, overrides)
-        result = args.handler(args, cfg)
+        command, args, knobs = _parse(argv)
+        if args is None:
+            print(_help(command))
+            return EXIT_OK
+        overrides = {name: knobs.get(name.replace("_", "-"))
+                     for name in Config._fields}
+        cfg = load_config(knobs.get("config"), overrides)
+        result = COMMANDS[command][0](args, cfg)
     except CapExceeded as exc:
         print(f"error: {exc} (config knob: {exc.knob})", file=sys.stderr)
         return EXIT_DOMAIN
@@ -367,9 +392,9 @@ def run(argv) -> int:
     else:
         print(json.dumps(result))
     # a printed diff that exposes an impossible state still signals failure
-    if args.command == "sweep" and not result["ok"]:
+    if command == "sweep" and not result["ok"]:
         return EXIT_INTERNAL
-    if args.command == "mult" and result.get("agree") is False:
+    if command == "mult" and result.get("agree") is False:
         return EXIT_INTERNAL
     return EXIT_OK
 

@@ -1,5 +1,6 @@
 """Independent brute-force oracles used only by the test suite."""
 
+import functools
 from fractions import Fraction
 
 from exoticcone.errors import DomainError
@@ -77,6 +78,41 @@ def recursive_kostant(target, summands) -> int:
         return total
 
     return rec(0, list(target))
+
+
+def graded_exotic_count(n: int):
+    """The graded exotic partition count of rank n, as ``count(k, weight)``:
+    the number of multisets of k exotic weights (e_i - e_j and e_i + e_j
+    for i < j, and e_i) that sum to the weight.
+
+    Memoised on (k, summand index, residual). Every exotic weight has
+    nonnegative prefix sums, so a residual with a negative prefix sum is
+    dropped. The summands are built here, not read from ``root_data``.
+    """
+    summands = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (-1, 1):
+                summands.append(tuple(
+                    1 if m == i else s if m == j else 0 for m in range(n)))
+        summands.append(tuple(int(m == i) for m in range(n)))
+
+    @functools.lru_cache(maxsize=None)
+    def rec(k, index, residual):
+        run = 0
+        for c in residual:
+            run += c
+            if run < 0:
+                return 0
+        if k == 0:
+            return int(not any(residual))
+        if index == len(summands):
+            return 0
+        taken = tuple(a - b for a, b in zip(residual, summands[index]))
+        # one more copy of this summand, or none of it and move on
+        return rec(k - 1, index, taken) + rec(k, index + 1, residual)
+
+    return lambda k, weight: rec(k, 0, tuple(weight))
 
 
 def alternating_sum(mu, lam, count) -> int:

@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from exoticcone import orbits
-from exoticcone.cli import run
+from exoticcone.cli import COMMANDS, run
 from exoticcone.config import ENV_VAR, Config, load_config
 from exoticcone.errors import DomainError
 
@@ -42,6 +42,50 @@ def test_mult_both_routes():
     assert invoke_json(
         "mult", "--mu", "[1,0]", "--lambda", "[0,0]", "--route", "b"
     ) == {"b": 2}
+
+
+# (argv, a name the one error line must hold)
+USAGE_ERRORS = [
+    ((), "command"),
+    (("frob",), "'frob'"),
+    (("poset", "--n", "2", "--frob", "1"), "--frob"),
+    # no prefix abbreviations: --lam is not --lambda
+    (("mult", "--mu", "[1,0]", "--lam", "[0,0]"), "--lam"),
+    (("poset", "--n"), "--n"),
+    (("mult", "--mu", "[1,0]"), "--lambda"),
+    (("poset", "--n", "x"), "--n"),
+    (("--rank-cap", "x", "poset", "--n", "2"), "--rank-cap"),
+    (("kostant", "--kind", "q", "--mu", "[1]"), "--kind"),
+    (("poset", "--n", "2", "--dot=1"), "--dot"),
+    (("poset", "--n", "2", "extra"), "'extra'"),
+]
+
+
+@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
+def test_usage_errors_exit_1_with_one_line_naming_the_culprit(argv, named):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_help_lists_the_commands_or_the_flags_of_one():
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    for name, (_, text, _) in COMMANDS.items():
+        assert f"\n{name}: {text}\n" in out
+    code, out, err = invoke("mult", "-h")
+    assert (code, err) == (0, "")
+    assert "--lambda LAMBDA [--route {a,b,both}]" in out
+    assert "kostant" not in out
+
+
+def test_flag_equals_value_is_flag_then_value():
+    # the default degree_cap of 12 refuses |mu| = 14
+    joined = invoke("--degree-cap=14", "kostant", "--kind=p", "--mu=[-7,7]")
+    spaced = invoke("--degree-cap", "14", "kostant", "--kind", "p",
+                    "--mu", "[-7,7]")
+    assert joined == spaced == (0, '{"value": 0}\n', "")
 
 
 def test_kostant_kinds():

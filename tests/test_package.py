@@ -1,6 +1,6 @@
 """The package's lazy submodules, each case in a fresh interpreter: what
-importing the package registers, what one CLI command executes, and the
-package-level names."""
+importing the package registers, what one CLI command executes and
+imports, first reads from several threads, and the package-level names."""
 
 import json
 import os
@@ -91,3 +91,48 @@ def test_package_names_resolve_to_their_module_attributes():
         "for name in text.split() if getattr(exoticcone, name) is not "
         "getattr(importlib.import_module('exoticcone.' + module), name)]))\n")
     assert mismatched == []
+
+
+def test_first_reads_from_many_threads_see_a_whole_module():
+    # barrier-released threads with a tiny switch interval all make the
+    # first read of one lazy module; none may see it half run
+    errors, alive = fresh(
+        "import json, sys, threading\n"
+        "import exoticcone\n"
+        "barrier, errors = threading.Barrier(4), []\n"
+        "def read():\n"
+        "    barrier.wait()\n"
+        "    try:\n"
+        "        exoticcone.orbits.orbit_of\n"
+        "    except AttributeError as exc:\n"
+        "        errors.append(str(exc))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=read) for _ in range(4)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "print(json.dumps([errors, [t.is_alive() for t in threads]]))\n")
+    assert errors == []
+    assert alive == [False] * 4
+
+
+def test_a_cli_process_imports_no_argparse_gettext_or_locale():
+    absent = ("argparse", "gettext", "locale")
+    assert fresh(
+        "import json, sys\n"
+        "import exoticcone.cli\n"
+        f"print(json.dumps([m for m in {absent!r} if m in sys.modules]))\n"
+    ) == []
+    code, loaded = fresh(
+        "import contextlib, io, json, runpy, sys\n"
+        "sys.argv = ['exoticcone', 'bwb', '--lambda', '[1,0]']\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        runpy.run_module('exoticcone', run_name='__main__')\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        f"print(json.dumps([code, [m for m in {absent!r} "
+        "if m in sys.modules]]))\n")
+    assert code == 0
+    assert loaded == []

@@ -1,15 +1,19 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exoticcone.characters import weyl_dim
 from exoticcone.errors import DomainError
-from exoticcone.rootdata import dominant_rep, in_conv
+from exoticcone.rootdata import alternating_sum, dominant_rep, in_conv
 from exoticcone.sections import (
     dominant_weights_of_degree,
     h0_decompose,
     h0_mult,
     h0_mult_subsets,
 )
+from oracles import graded_exotic_count
 
 
 def dominant2(bound=3):
@@ -89,6 +93,53 @@ def test_h0_decompose_matches_route_b():
         assert value > 0
     # entries outside the window are not reported
     assert all(sum(mu) <= 3 for mu in out)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_h0_decompose_is_the_nonzero_part_of_its_window(n):
+    window = [mu for k in range(5) for mu in dominant_weights_of_degree(n, k)]
+    for lam in [w for w in window if sum(w) <= 2]:
+        out = h0_decompose(lam, 4)
+        assert out == {mu: value for mu in window
+                       if (value := h0_mult(mu, lam))}
+        assert all(value > 0 for value in out.values())
+        assert all(in_conv(lam, mu) for mu in out)
+
+
+def hilbert_coefficient(n: int, k: int) -> int:
+    """[t^k] prod_{d=2..n} (1 - t^d) / (1 - t)^(2n^2 + n - 1), the Hilbert
+    series of the exotic nilpotent cone: a normal complete intersection
+    in V plus the trace-free part of wedge^2 V (2n + n(2n - 1) - 1
+    coordinates), cut out by n - 1 invariants of degrees 2..n (S. Kato,
+    Duke Math. J. 148, 2009)."""
+    numerator = [1]
+    for d in range(2, n + 1):
+        numerator = [a - (numerator[i - d] if i >= d else 0)
+                     for i, a in enumerate(numerator + [0] * d)]
+    m = 2 * n * n + n - 1
+    return sum(c * math.comb(k - i + m - 1, m - 1)
+               for i, c in enumerate(numerator[:k + 1]))
+
+
+@pytest.mark.parametrize("n, dims", [
+    (1, [2, 3, 4, 5]),
+    (2, [9, 44, 156, 450]),
+    (3, [20, 209, 1519]),
+    (4, [35, 629, 7734]),
+])
+def test_graded_sections_of_the_trivial_bundle_match_the_hilbert_series(
+        n, dims):
+    # degree k of the coordinate ring: sum over mu of m_k(mu, 0) dim V_mu,
+    # with m_k the alternating Weyl sum of the graded exotic count; a sum
+    # of k exotic weights has coordinate sum at most 2k
+    count = graded_exotic_count(n)
+    zero = (0,) * n
+    for k, dim in enumerate(dims, start=1):
+        assert hilbert_coefficient(n, k) == dim
+        assert sum(
+            alternating_sum(mu, zero, lambda w: count(k, w)) * weyl_dim(mu)
+            for d in range(2 * k + 1)
+            for mu in dominant_weights_of_degree(n, d)) == dim
 
 
 def test_dominant_weights_of_degree():
