@@ -31,9 +31,8 @@ from .errors import (
 _EXPORTS = {
     "linalg": "",
     "rootdata": (
-        "RootDataC SignedPermutation bwb dominant_rep in_conv in_conv0 "
-        "in_tconv in_tconv0 is_dominant quasi_order root_data "
-        "signed_permutations twisted_act twisted_w0 weyl_orbit"),
+        "RootDataC SignedPermutation bwb dominant_rep in_conv is_dominant "
+        "root_data signed_permutations weyl_orbit"),
     "kostant": "kostant_p kostant_p_exotic subset_identity_check",
     "characters": "all_weights weight_mult weight_mult_oracle weyl_dim",
     "sections": "h0_decompose h0_mult h0_mult_subsets",

@@ -122,7 +122,8 @@ def subset_identity_check(mu) -> bool:
     """Check p_exotic(mu) = sum over subsets S of p(mu - sum_{i in S} e_i).
 
     The identity holds because the two generating products differ by the
-    factor prod_i (1 + e^{e_i}). Exposed so the CLI can demonstrate it.
+    factor prod_i (1 + e^{e_i}). The acceptance suite checks the identity
+    through this function.
     """
     mu = check_weight(mu)
     n = len(mu)

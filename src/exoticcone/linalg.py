@@ -3,7 +3,7 @@
 Matrices are row-major lists of lists, vectors are lists; entries are ints
 or ``fractions.Fraction`` (the two interoperate exactly).
 
-Elimination runs on ints. ``rref`` (and with it ``solve`` and ``inverse``),
+Elimination runs on ints. ``rref`` (and with it ``inverse``),
 ``rank``, ``nullspace``, ``det`` and the subspace operations scale each row
 by the lcm of its denominators and run fraction-free Gauss-Jordan
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
@@ -74,10 +74,6 @@ def to_mat(rows) -> Mat:
 
 def identity(d: int) -> Mat:
     return [[int(i == j) for j in range(d)] for i in range(d)]
-
-
-def zero_vec(d: int) -> Vec:
-    return [_ZERO] * d
 
 
 def transpose(a: Mat) -> Mat:
@@ -260,19 +256,6 @@ def nullspace(rows, ncols: int | None = None) -> list:
         [_ratio(x, v[free]) for x in v]
         for free, v in int_kernel(int_rows(rows), ncols).items()
     ]
-
-
-def solve(a: Mat, b: Vec):
-    """One solution of A x = b, or None if the system is inconsistent."""
-    ncols = len(a[0]) if a else 0
-    aug = [row + [rhs] for row, rhs in zip(a, b)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = zero_vec(ncols)
-    for row, p in zip(red, pivots):
-        x[p] = row[-1]
-    return x
 
 
 def det(a: Mat) -> Fraction:

@@ -3,11 +3,6 @@
 Weights are integer tuples in an orthonormal basis e_1..e_n of the rank-n
 weight lattice (so the standard dot product computes all pairings). The
 Weyl group is the hyperoctahedral group of signed permutations.
-
-The twisted action w(lam + theta) - theta, theta = (1/2,...,1/2), is again
-integral: a coordinate c moved with sign -1 becomes -c - 1. Theta cancels
-in every twisted hull difference, so the twisted tests compare integer
-weights too, and no floating point or rational rounding ever enters.
 """
 
 from __future__ import annotations
@@ -47,14 +42,6 @@ class SignedPermutation(Record):
         if len(self.signs) != n or any(s not in (1, -1) for s in self.signs):
             raise DomainError(f"signs must be +-1: {self.signs}")
 
-    @property
-    def rank(self) -> int:
-        return len(self.perm)
-
-    @staticmethod
-    def identity(n: int) -> "SignedPermutation":
-        return SignedPermutation(tuple(range(n)), (1,) * n)
-
     def act(self, coords):
         """Apply to a coordinate vector: slot perm[i] receives signs[i]
         times entry i."""
@@ -63,27 +50,12 @@ class SignedPermutation(Record):
             out[self.perm[i]] = self.signs[i] * c
         return tuple(out)
 
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        """Composition: (self * other).act(x) == self.act(other.act(x))."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.rank))
-        signs = tuple(
-            other.signs[i] * self.signs[other.perm[i]] for i in range(self.rank)
-        )
-        return SignedPermutation(perm, signs)
-
-    def inverse(self) -> "SignedPermutation":
-        perm = [0] * self.rank
-        signs = [1] * self.rank
-        for i in range(self.rank):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return SignedPermutation(tuple(perm), tuple(signs))
-
     def sign(self) -> int:
         """Determinant of the signed permutation matrix."""
         inv = 0
-        for i in range(self.rank):
-            for j in range(i + 1, self.rank):
+        n = len(self.perm)
+        for i in range(n):
+            for j in range(i + 1, n):
                 if self.perm[i] > self.perm[j]:
                     inv += 1
         s = -1 if inv % 2 else 1
@@ -195,23 +167,6 @@ def dominant_rep(lam) -> Weight:
     return tuple(sorted((abs(c) for c in lam), reverse=True))
 
 
-def twisted_act(w: SignedPermutation, lam) -> Weight:
-    """The theta-shifted action w(lam + theta) - theta: entry c lands in
-    slot perm[i] as c under sign +1 and as -c - 1 under sign -1."""
-    lam = check_weight(lam)
-    check_same_rank(w.perm, lam)
-    out = [0] * len(lam)
-    for c, slot, s in zip(lam, w.perm, w.signs):
-        out[slot] = c if s == 1 else -c - 1
-    return tuple(out)
-
-
-def twisted_w0(lam) -> Weight:
-    """Image of lam under the twisted action of the longest element."""
-    lam = check_weight(lam)
-    return tuple(-c - 1 for c in lam)
-
-
 def bwb(lam):
     """Regularize lam + rho into the strictly dominant chamber.
 
@@ -281,39 +236,3 @@ def in_conv(lam, mu) -> bool:
     lam = check_weight(lam)
     check_same_rank(mu, lam)
     return in_root_cone([a - b for a, b in zip(mu, dominant_rep(lam))])
-
-
-def in_conv0(lam, mu) -> bool:
-    mu = require_dominant(mu, "mu")
-    return dominant_rep(lam) != mu and in_conv(lam, mu)
-
-
-def _twisted_rep(lam) -> Weight:
-    """The rep with rep + theta dominant in the twisted orbit of lam: the
-    descending sort of max(c, -c - 1) = |c + 1/2| - 1/2."""
-    return tuple(sorted((max(c, -c - 1) for c in check_weight(lam)),
-                        reverse=True))
-
-
-def in_tconv(lam, mu) -> bool:
-    """Hull membership for the twisted action: lam + theta against the
-    orbit of mu + theta. Theta cancels in the difference of the reps."""
-    a, b = _twisted_rep(lam), _twisted_rep(mu)
-    check_same_rank(a, b)
-    return in_root_cone([x - y for x, y in zip(b, a)])
-
-
-def in_tconv0(lam, mu) -> bool:
-    return _twisted_rep(lam) != _twisted_rep(mu) and in_tconv(lam, mu)
-
-
-def quasi_order(weights) -> list:
-    """Total order on dominant weights compatible with twisted-hull
-    membership: lam in the twisted hull of mu (lam != mu) sorts lam first.
-
-    Key: |2 lam + 1|^2 ascending (four times |lam + theta|^2), ties broken
-    lexicographically on coordinates.
-    """
-    items = [require_dominant(w) for w in weights]
-    return sorted(items, key=lambda lam: (
-        sum((2 * c + 1) ** 2 for c in lam), lam))

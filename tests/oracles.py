@@ -3,6 +3,7 @@
 import functools
 from fractions import Fraction
 
+from exoticcone.bipartitions import enumerate_Q
 from exoticcone.errors import DomainError
 from exoticcone.linalg import (
     Mat,
@@ -13,7 +14,12 @@ from exoticcone.linalg import (
     nonneg_combination,
 )
 from exoticcone.orbits import centralizer_basis
-from exoticcone.rootdata import rho, signed_permutations, weyl_orbit
+from exoticcone.rootdata import (
+    SignedPermutation,
+    rho,
+    signed_permutations,
+    weyl_orbit,
+)
 
 
 def brute_kostant(target, summands) -> int:
@@ -130,6 +136,14 @@ def alternating_sum(mu, lam, count) -> int:
     return total
 
 
+def compose(w, u):
+    """The product w u of two signed permutations: (w u).act(x) equals
+    w.act(u.act(x))."""
+    return SignedPermutation(
+        tuple(w.perm[p] for p in u.perm),
+        tuple(s * w.signs[p] for p, s in zip(u.perm, u.signs)))
+
+
 def bwb(lam):
     """Regularization by search: the w among all signed permutations with
     w(lam + rho) strictly dominant, or None when there is none. It builds
@@ -154,31 +168,6 @@ def coroot_pairing(lam, alpha) -> Fraction:
     return Fraction(2 * num, norm)
 
 
-# -- the twisted action in doubled coordinates: the reference for rootdata ---
-
-def twisted_act(w, lam):
-    """w(lam + theta) - theta through the doubled coordinates 2 lam + 1,
-    which w moves as a plain vector and which stay odd."""
-    img = w.act(tuple(2 * c + 1 for c in lam))
-    assert all(c % 2 for c in img)
-    return tuple((c - 1) // 2 for c in img)
-
-
-def _doubled_dominant(lam) -> tuple:
-    return tuple(sorted((abs(2 * c + 1) for c in lam), reverse=True))
-
-
-def in_tconv(lam, mu) -> bool:
-    """2 lam + 1 in the hull of the orbit of 2 mu + 1."""
-    return hull_contains_prefix(tuple(2 * c + 1 for c in lam),
-                                _doubled_dominant(mu))
-
-
-def in_tconv0(lam, mu) -> bool:
-    return _doubled_dominant(lam) != _doubled_dominant(mu) and \
-        in_tconv(lam, mu)
-
-
 def hull_contains_lp(lam, mu) -> bool:
     """Hull membership as feasibility of a convex combination over every
     orbit point (a different constraint system from the cone test)."""
@@ -198,6 +187,49 @@ def hull_contains_prefix(lam, mu) -> bool:
         if run < 0:
             return False
     return True
+
+
+# -- the closure order by its two-condition loop: the reference for hasse ----
+
+def _part(parts, i: int) -> int:
+    return parts[i] if 0 <= i < len(parts) else 0
+
+
+def closure_leq(lo, hi) -> bool:
+    """Closure order: lo <= hi.
+
+    Requires, for every j >= 0, that the prefix sums of mu + nu dominate
+    and that the same holds after appending the next mu part.
+    """
+    if lo.size != hi.size:
+        raise DomainError("bipartitions of different sizes are incomparable")
+    n = lo.size
+    acc_lo = acc_hi = 0
+    if _part(hi.mu, 0) < _part(lo.mu, 0):
+        return False
+    for j in range(n + 1):
+        acc_lo += _part(lo.mu, j) + _part(lo.nu, j)
+        acc_hi += _part(hi.mu, j) + _part(hi.nu, j)
+        if acc_hi < acc_lo:
+            return False
+        if acc_hi + _part(hi.mu, j + 1) < acc_lo + _part(lo.mu, j + 1):
+            return False
+    return True
+
+
+def hasse(n: int) -> list:
+    """Covering pairs (lower, upper) of the loop order on bipartitions of
+    n, by testing every candidate cover against every element between."""
+    elems = enumerate_Q(n)
+    below = {
+        b: [a for a in elems if a != b and closure_leq(a, b)] for b in elems
+    }
+    edges = []
+    for b in elems:
+        for a in below[b]:
+            if not any(closure_leq(a, c) for c in below[b] if c != a):
+                edges.append((a, b))
+    return edges
 
 
 # -- Gauss-Jordan elimination over Fraction: the reference for linalg --------

@@ -22,6 +22,8 @@ from exoticcone.bipartitions import (
     rewrite_to_partition,
 )
 from exoticcone.errors import DomainError
+from exoticcone.orbits import representative
+import oracles
 
 
 def test_as_partition_normalizes_and_rejects():
@@ -31,6 +33,15 @@ def test_as_partition_normalizes_and_rejects():
         as_partition([1, 2])
     with pytest.raises(DomainError):
         as_partition([2, -1])
+
+
+def test_as_partition_rejects_parts_that_are_not_ints():
+    # int() would turn each of these into a valid part without complaint
+    for mu, nu in [((2.7,), ()), ((True,), (1,)), (("3",), ())]:
+        with pytest.raises(DomainError):
+            bipartition(mu, nu)
+    with pytest.raises(DomainError):
+        representative(bipartition((1.9,), ()))
 
 
 def test_enumerate_Q_examples():
@@ -209,6 +220,21 @@ def test_hasse_is_transitive_reduction():
             for c in elems:
                 if c not in (lo, hi):
                     assert not (closure_leq(lo, c) and closure_leq(c, hi))
+
+
+def test_closure_leq_matches_the_two_condition_loop():
+    # the leading mu_1 entry of the prefix vector alone separates these
+    assert not closure_leq(bipartition((1,), ()), bipartition((), (1,)))
+    for n in range(8):
+        elems = enumerate_Q(n)
+        for a in elems:
+            for b in elems:
+                assert closure_leq(a, b) == oracles.closure_leq(a, b), (a, b)
+
+
+def test_hasse_matches_the_oracle_reduction():
+    for n in range(8):
+        assert hasse(n) == oracles.hasse(n), n
 
 
 def test_emit_dot_structure():

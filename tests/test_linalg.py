@@ -24,7 +24,6 @@ from exoticcone.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
     span,
     sub_add,
     sub_dim,
@@ -76,11 +75,6 @@ def test_rank_and_nullspace_empty_cases():
         [0, 1, 0],
         [0, 0, 1],
     ]
-
-
-def test_solve_consistent_and_inconsistent():
-    assert solve([[1, 1], [0, 1]], [3, 2]) == [1, 2]
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_det_and_inverse():

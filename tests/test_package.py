@@ -16,7 +16,8 @@ EXECUTED = ("[n for n in {names!r} "
             ).format(names=SUBMODULES)
 
 # every name the package exported before its submodules became lazy, less
-# coroot_pairing, which moved to tests/oracles.py
+# coroot_pairing, which moved to tests/oracles.py, and the twisted action
+# group, which was deleted
 NAMES = {
     "bipartitions": "Bipartition bipartition closure_leq collapse emit_dot "
                     "enumerate_Q filtration_dims hasse is_C_distinguished "
@@ -32,9 +33,7 @@ NAMES = {
               "random_symplectic representative solve_symplectic_form "
               "standard_form verify_adapted",
     "rootdata": "RootDataC SignedPermutation bwb dominant_rep in_conv "
-                "in_conv0 in_tconv in_tconv0 is_dominant quasi_order "
-                "root_data signed_permutations twisted_act twisted_w0 "
-                "weyl_orbit",
+                "is_dominant root_data signed_permutations weyl_orbit",
     "sections": "h0_decompose h0_mult h0_mult_subsets",
 }
 
