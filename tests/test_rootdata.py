@@ -208,6 +208,14 @@ def test_in_conv_examples():
         in_conv((0, 0), (0, 1))
 
 
+def test_in_conv0_vs_in_conv():
+    # The hull minus the orbit of mu: (1, 0) lies strictly inside the hull
+    # of (1, 1), while (-1, -1) is a vertex of it.
+    mu = (1, 1)
+    assert in_conv((1, 0), mu) and dominant_rep((1, 0)) != mu
+    assert in_conv((-1, -1), mu) and dominant_rep((-1, -1)) == mu
+
+
 def test_in_conv_agrees_with_oracles_rank2_exhaustive():
     box = [
         (a, b) for a in range(-4, 5) for b in range(-4, 5)
