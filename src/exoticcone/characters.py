@@ -10,10 +10,16 @@ irreducible module of highest weight mu:
   machinery with the first route.
 
 The ``e_i`` basis is orthonormal, which fixes every pairing normalization.
+
+The Freudenthal tables, one per highest weight, hold ``config.memo_cap``
+entries at most in all: a store that would pass it clears them first, and
+a larger table is not kept. Like the Kostant memo they take no lock: a
+table is a function of its key alone.
 """
 
 from __future__ import annotations
 
+from . import config
 from .errors import InternalInconsistency
 from .kostant import kostant_p
 from .records import Record
@@ -29,17 +35,6 @@ from .rootdata import (
 )
 
 _tables = {}
-_cache_cap = 1 << 19
-
-
-def configure_cache(max_entries: int) -> None:
-    """Cap the total entries kept over all Freudenthal tables (eviction:
-    clear). Like the Kostant memo this takes no lock: a table is a function
-    of its key alone."""
-    global _cache_cap
-    _cache_cap = max(max_entries, 1)
-    if sum(map(len, list(_tables.values()))) > _cache_cap:
-        _tables.clear()
 
 
 def _norm2(vec) -> int:
@@ -124,9 +119,10 @@ def _freudenthal_table(mu) -> dict:
 
     # list() copies the values in one step under the GIL; iterating the
     # live view raised when another thread stored or cleared meanwhile
-    if sum(map(len, list(_tables.values()))) + len(table) > _cache_cap:
+    cap = config.memo_cap
+    if sum(map(len, list(_tables.values()))) + len(table) > cap:
         _tables.clear()
-    if len(table) <= _cache_cap:
+    if len(table) <= cap:
         _tables[mu] = table
     return table
 

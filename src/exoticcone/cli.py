@@ -18,7 +18,7 @@ import os
 import sys
 
 from . import bipartitions as bp
-from . import characters, kostant, orbits, rootdata, sections
+from . import characters, config, kostant, orbits, rootdata, sections
 from .config import Config, load_config
 from .errors import (
     EXIT_DOMAIN,
@@ -38,6 +38,9 @@ def _parse_json_arg(text: str, what: str):
             f"malformed JSON for {what} at line {exc.lineno} column "
             f"{exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        # an integer longer than the interpreter's int-string digit limit
+        raise DomainError(f"malformed JSON for {what}: {exc}") from exc
 
 
 def _weight_arg(text: str, what: str) -> tuple:
@@ -99,8 +102,6 @@ def _cmd_mult(args, cfg):
     lam = _ranked_weight(args, "lambda", cfg)
     _check_degree(mu, cfg, "mu")
     _check_degree(lam, cfg, "lambda")
-    kostant.configure_cache(cfg.cache_entries)
-    characters.configure_cache(cfg.cache_entries)
     out = {}
     if args["route"] in ("a", "both"):
         out["a"] = sections.h0_mult(mu, lam)
@@ -114,7 +115,6 @@ def _cmd_mult(args, cfg):
 def _cmd_kostant(args, cfg):
     mu = _ranked_weight(args, "mu", cfg)
     _check_degree(mu, cfg, "mu")
-    kostant.configure_cache(cfg.cache_entries)
     fn = kostant.kostant_p if args["kind"] == "p" else kostant.kostant_p_exotic
     return {"value": fn(mu)}
 
@@ -131,7 +131,6 @@ def _cmd_bwb(args, cfg):
 def _cmd_weights(args, cfg):
     mu = _ranked_weight(args, "mu", cfg)
     _check_degree(mu, cfg, "mu")
-    characters.configure_cache(cfg.cache_entries)
     table = characters.all_weights(mu)
     entries = sorted(table.entries.items(), reverse=True)
     return {
@@ -231,8 +230,6 @@ def _sweep_cell(mu, lam):
     problems = []
     if a != b:
         problems.append("route_disagreement")
-    if a < 0 or b < 0:
-        problems.append("negative")
     if not rootdata.in_conv(lam, mu) and a != 0:
         problems.append("support")
     return {"mu": list(mu), "lambda": list(lam), "a": a, "b": b,
@@ -249,8 +246,6 @@ def _cmd_sweep(args, cfg):
             "degree_cap",
             f"bound={bound} exceeds degree_cap={cfg.degree_cap}",
         )
-    kostant.configure_cache(cfg.cache_entries)
-    characters.configure_cache(cfg.cache_entries)
     grid = []
     for k in range(bound + 1):
         grid.extend(sections.dominant_weights_of_degree(n, k))
@@ -377,6 +372,7 @@ def run(argv) -> int:
         overrides = {name: knobs.get(name.replace("_", "-"))
                      for name in Config._fields}
         cfg = load_config(knobs.get("config"), overrides)
+        config.memo_cap = cfg.cache_entries
         result = COMMANDS[command][0](args, cfg)
     except CapExceeded as exc:
         print(f"error: {exc} (config knob: {exc.knob})", file=sys.stderr)

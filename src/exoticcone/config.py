@@ -15,8 +15,8 @@ from .records import Record
 ENV_VAR = "EXOTICCONE_CONFIG"
 
 # bytes per memo entry, used to turn cache_bytes into an entry cap: a
-# Kostant memo entry measured 133 B, and 128 makes the default cap the
-# 1 << 19 entries that kostant and characters default to in-process
+# Kostant memo entry measured 133 B, and 128 makes the default cap
+# 2**26 / 128 = 524,288 entries
 _ENTRY_BYTES = 128
 
 
@@ -37,6 +37,11 @@ class Config(Record):
     @property
     def cache_entries(self) -> int:
         return max(1024, self.cache_bytes // _ENTRY_BYTES)
+
+
+# the entry cap each memo reads when it stores; cli.run sets it from the
+# loaded config, and a library user may set it directly
+memo_cap = Config().cache_entries
 
 
 def _parse_file(path: str) -> dict:

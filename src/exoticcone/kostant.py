@@ -18,29 +18,20 @@ as zeros through the summands that remain. Every summand has nonnegative
 prefix sums, so a residual with a negative prefix sum is unreachable and
 prunes the branch; the same fact bounds the other coefficients, so the
 recursion terminates. The memo is shared per (rank, multiset) pair and
-clears itself when it outgrows the configured cap. It takes no lock: a
-memo value is a function of its key alone, so concurrent callers can at
-worst recompute or evict an entry, never store a wrong one.
+clears itself when a store finds it holding ``config.memo_cap`` entries.
+It takes no lock: a memo value is a function of its key alone, so
+concurrent callers can at worst recompute or evict an entry, never store a
+wrong one.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import config
 from .rootdata import check_weight, in_root_cone, root_data
 
-_cache_cap = 1 << 19
 _registry = {}
-
-
-def configure_cache(max_entries: int) -> None:
-    """Cap the number of memo entries kept per counter (eviction: clear)."""
-    global _cache_cap
-    if max_entries < 1:
-        max_entries = 1
-    _cache_cap = max_entries
-    for counter in list(_registry.values()):
-        counter.cap = max_entries
 
 
 def _lead(vec) -> int:
@@ -48,7 +39,7 @@ def _lead(vec) -> int:
 
 
 class _Counter:
-    __slots__ = ("summands", "closing", "memo", "cap")
+    __slots__ = ("summands", "closing", "memo")
 
     def __init__(self, summands):
         # stable, so each group keeps the root-data order
@@ -58,7 +49,6 @@ class _Counter:
         self.closing = tuple(g if g != after else None
                              for g, after in zip(leads, leads[1:]))
         self.memo = {}
-        self.cap = _cache_cap
 
     def count(self, target) -> int:
         if not in_root_cone(target):
@@ -89,7 +79,7 @@ class _Counter:
             r = tuple(a - b for a, b in zip(r, s))
             if not in_root_cone(r):
                 break
-        if len(self.memo) >= self.cap:
+        if len(self.memo) >= config.memo_cap:
             self.memo.clear()
         self.memo[key] = total
         return total

@@ -615,10 +615,7 @@ def _assemble(pair, xi, b, profile, lattice, perps):
     # descend holds itself through its closure; dropping the name breaks
     # that cycle, so by_level is freed now, not at the next full collection
     del descend
-    unique = {}
-    for filt in found:
-        unique[filt.subspaces] = filt
-    return list(unique.values())
+    return found
 
 
 def adapted_filtration(pair: ExoticPair, closure_depth: int = 4

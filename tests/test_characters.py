@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exoticcone import characters
+from exoticcone import characters, config
 from exoticcone.characters import (
     all_weights,
     dominant_cone_weights,
@@ -140,19 +140,18 @@ def test_rank_mismatch_rejected():
                 route(mu, lam)
 
 
-def test_table_cache_cap_keeps_answers_correct():
+def test_table_cache_cap_keeps_answers_correct(monkeypatch):
     mus = [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (2, 1, 1)]
-    characters.configure_cache(4)
-    try:
-        for mu in mus:
-            for lam in dominant_cone_weights(mu):
-                assert weight_mult_oracle(mu, lam) == weight_mult(mu, lam)
-                assert sum(map(len, characters._tables.values())) <= 4
-    finally:
-        characters.configure_cache(1 << 19)
+    # a lowered cap takes effect at the next store, so start empty
+    monkeypatch.setattr(config, "memo_cap", 4)
+    characters._tables.clear()
+    for mu in mus:
+        for lam in dominant_cone_weights(mu):
+            assert weight_mult_oracle(mu, lam) == weight_mult(mu, lam)
+            assert sum(map(len, characters._tables.values())) <= 4
 
 
-def test_table_cache_under_threads(frequent_switches):
+def test_table_cache_under_threads(frequent_switches, monkeypatch):
     # clears race with stores; a table is a function of its key, so no
     # interleaving may change an answer
     from concurrent.futures import ThreadPoolExecutor
@@ -160,12 +159,8 @@ def test_table_cache_under_threads(frequent_switches):
     mus = [(1, 0), (2, 0), (1, 1), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]
     queries = [(mu, lam) for mu in mus for lam in dominant_cone_weights(mu)]
     expected = [weight_mult(mu, lam) for mu, lam in queries]
-    characters.configure_cache(4)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(3):
-                got = list(pool.map(lambda q: weight_mult_oracle(*q),
-                                    queries))
-                assert got == expected
-    finally:
-        characters.configure_cache(1 << 19)
+    monkeypatch.setattr(config, "memo_cap", 4)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        for _ in range(3):
+            got = list(pool.map(lambda q: weight_mult_oracle(*q), queries))
+            assert got == expected

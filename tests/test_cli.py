@@ -7,7 +7,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from exoticcone import orbits
+from exoticcone import config, orbits
 from exoticcone.cli import COMMANDS, run
 from exoticcone.config import ENV_VAR, Config, load_config
 from exoticcone.errors import DomainError
@@ -223,18 +223,38 @@ def test_pair_file_rank_cap_comes_before_the_gram_determinant(
 
 
 def test_cli_memo_cap_is_the_library_default():
-    # a fresh interpreter: run() reconfigures both memos in-process
+    # a fresh interpreter: run() sets the cap in-process
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("from exoticcone import characters, kostant; "
-             "from exoticcone.config import Config; "
-             "print(Config().cache_entries, kostant._cache_cap, "
-             "characters._cache_cap)")
+    probe = ("from exoticcone import config; "
+             "print(config.memo_cap, config.Config().cache_entries)")
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == [str(1 << 19)] * 3
+    assert out.split() == [str(1 << 19)] * 2
+
+
+def test_cache_bytes_sets_the_memo_cap(monkeypatch):
+    # monkeypatch restores the cap that run() sets
+    monkeypatch.setattr(config, "memo_cap", config.memo_cap)
+    assert invoke_json("--cache-bytes", "131072", "kostant", "--kind", "p",
+                       "--mu", "[2,0]") == {"value": 3}
+    assert config.memo_cap == 1024
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter has no int-string digit limit")
+def test_over_long_json_integer_is_one_error_line(tmp_path):
+    big = "1" + "0" * sys.get_int_max_str_digits()
+    path = tmp_path / "pair.json"
+    path.write_text(f'{{"n": 1, "v": [{big}, 0], "x": [[0, 0], [0, 0]]}}')
+    for argv in (("bwb", "--lambda", f"[{big}]"),
+                 ("orbit-identify", "--file", str(path))):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 def test_degree_cap_guards_mult_and_kostant():

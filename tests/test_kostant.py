@@ -3,9 +3,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exoticcone import kostant
+from exoticcone import config, kostant
+from exoticcone.config import Config
 from exoticcone.kostant import (
-    configure_cache,
     kostant_p,
     kostant_p_exotic,
     subset_identity_check,
@@ -72,7 +72,7 @@ def _clear_memos():
         counter.memo.clear()
 
 
-def test_dp_matches_recursion_rank3_and_4():
+def test_dp_matches_recursion_rank3_and_4(monkeypatch):
     # negative, odd and mixed coordinates; at rank 4 the coordinate sum is
     # capped so that the memo-free recursion stays fast
     box = list(itertools.product(range(-2, 4), repeat=3))
@@ -85,14 +85,11 @@ def test_dp_matches_recursion_rank3_and_4():
                          recursive_kostant(mu, data.exotic_weights)))
     assert any(p for p, _ in expected) and any(q for _, q in expected)
     # under cap 8 the memo clears between the loops and the forced steps
-    try:
-        for cap in (1 << 19, 8):
-            configure_cache(cap)
-            _clear_memos()
-            got = [(kostant_p(mu), kostant_p_exotic(mu)) for mu in box]
-            assert got == expected
-    finally:
-        configure_cache(1 << 19)
+    for cap in (Config().cache_entries, 8):
+        monkeypatch.setattr(config, "memo_cap", cap)
+        _clear_memos()
+        got = [(kostant_p(mu), kostant_p_exotic(mu)) for mu in box]
+        assert got == expected
 
 
 def test_cold_count_stays_within_its_work_bound():
@@ -134,17 +131,14 @@ def test_counts_grow_and_stay_exact():
     assert isinstance(big, int) and big > 1000
 
 
-def test_cache_cap_eviction_keeps_answers_correct():
-    configure_cache(8)
-    try:
-        values = [kostant_p((2 * k, 0)) for k in range(5)]
-        configure_cache(1 << 19)
-        assert values == [kostant_p((2 * k, 0)) for k in range(5)]
-    finally:
-        configure_cache(1 << 19)
+def test_cache_cap_eviction_keeps_answers_correct(monkeypatch):
+    monkeypatch.setattr(config, "memo_cap", 8)
+    values = [kostant_p((2 * k, 0)) for k in range(5)]
+    monkeypatch.setattr(config, "memo_cap", Config().cache_entries)
+    assert values == [kostant_p((2 * k, 0)) for k in range(5)]
 
 
-def test_thread_safety_of_memo(frequent_switches):
+def test_thread_safety_of_memo(frequent_switches, monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     grid = [
@@ -153,11 +147,8 @@ def test_thread_safety_of_memo(frequent_switches):
     expected = [kostant_p_exotic(mu) for mu in grid]
     # from a cold memo, threads fill shared entries at once; under cap 8
     # clears also race with stores
-    try:
-        for cap in (1 << 19, 8):
-            configure_cache(cap)
-            _clear_memos()
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                assert list(pool.map(kostant_p_exotic, grid)) == expected
-    finally:
-        configure_cache(1 << 19)
+    for cap in (Config().cache_entries, 8):
+        monkeypatch.setattr(config, "memo_cap", cap)
+        _clear_memos()
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            assert list(pool.map(kostant_p_exotic, grid)) == expected

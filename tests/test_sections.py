@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exoticcone.characters import weyl_dim
+from exoticcone import characters, config, kostant
+from exoticcone.characters import weight_mult, weyl_dim
+from exoticcone.config import Config
 from exoticcone.errors import DomainError
 from exoticcone.rootdata import alternating_sum, dominant_rep, in_conv
 from exoticcone.sections import (
@@ -149,3 +151,33 @@ def test_dominant_weights_of_degree():
     for k in range(5):
         for mu in dominant_weights_of_degree(2, k):
             assert sum(mu) == k
+
+
+def _values_and_peaks(grid):
+    """Both section routes and the weight multiplicity at each cell, from
+    cold memos, with the largest Kostant memo and the largest Freudenthal
+    total seen after any cell."""
+    for counter in kostant._registry.values():
+        counter.memo.clear()
+    characters._tables.clear()
+    values, memo, tables = [], 0, 0
+    for mu, lam in grid:
+        values.append((h0_mult(mu, lam), h0_mult_subsets(mu, lam),
+                       weight_mult(mu, lam)))
+        memo = max([memo] + [len(c.memo) for c in kostant._registry.values()])
+        tables = max(tables, sum(map(len, characters._tables.values())))
+    return values, memo, tables
+
+
+def test_memo_cap_bounds_every_memo_and_keeps_the_values(monkeypatch):
+    grid = [(mu, lam) for n in (2, 3) for k in range(4)
+            for mu in dominant_weights_of_degree(n, k)
+            for lam in dominant_weights_of_degree(n, 3 - k)]
+    monkeypatch.setattr(config, "memo_cap", Config().cache_entries)
+    expected, memo, tables = _values_and_peaks(grid)
+    # both memos outgrow 8 entries at the default cap, so cap 8 must evict
+    assert memo > 8 and tables > 8
+    monkeypatch.setattr(config, "memo_cap", 8)
+    got, memo, tables = _values_and_peaks(grid)
+    assert memo <= 8 and tables <= 8
+    assert got == expected
