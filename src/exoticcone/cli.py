@@ -38,8 +38,9 @@ def _parse_json_arg(text: str, what: str):
             f"malformed JSON for {what} at line {exc.lineno} column "
             f"{exc.colno} (char {exc.pos}): {exc.msg}"
         ) from exc
-    except ValueError as exc:
-        # an integer longer than the interpreter's int-string digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer longer than the interpreter's int-string digit limit,
+        # or arrays and objects nested deeper than the recursion limit
         raise DomainError(f"malformed JSON for {what}: {exc}") from exc
 
 

@@ -631,6 +631,15 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
     the isometries: the lattice of (g v, g x g^-1) is g times the lattice
     of (v, x), so the depth a pair needs depends on its orbit only.
 
+    Each round adds the perp, image and preimage of every new subspace,
+    and the sum and intersection of every unordered pair of a new
+    subspace and a lattice member, each pair eliminated once. Pairs with
+    one member inside the other are skipped. This is exact: sum and
+    intersection are symmetric on canonical subspaces, and for a <= b they
+    are b and a, already in the lattice. So every round's lattice, the
+    depth at which a filtration is found and FiltrationNotFound are those
+    of the search over all ordered pairs.
+
     The powers of x, E^x v and the orbit come from the pair's cache, so a
     pair that ``orbit_of`` has classified is not classified again. Within
     the call a dict holds every perp computed so far; the closure rounds,
@@ -674,8 +683,15 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
             ):
                 if derived not in lattice:
                     fresh.add(derived)
+        # a + b and a ∩ b are symmetric, so a pair of frontier members is
+        # eliminated once; for a comparable pair both are a or b, already
+        # in the lattice
+        done = set()
         for a in frontier:
+            done.add(a)
             for bsub in lattice:
+                if bsub in done or sub_leq(a, bsub) or sub_leq(bsub, a):
+                    continue
                 for derived in (
                     sub_add(a, bsub),
                     sub_intersect(a, bsub, d),

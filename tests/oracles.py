@@ -3,17 +3,26 @@
 import functools
 from fractions import Fraction
 
-from exoticcone.bipartitions import enumerate_Q
-from exoticcone.errors import DomainError
+from exoticcone.bipartitions import enumerate_Q, filtration_dims
+from exoticcone.errors import DomainError, FiltrationNotFound, NotUnique
 from exoticcone.linalg import (
     Mat,
     frac,
     int_rows,
     int_span,
+    map_image,
+    map_preimage,
     mat_vec,
     nonneg_combination,
+    sub_add,
+    sub_intersect as lib_sub_intersect,
 )
-from exoticcone.orbits import centralizer_basis
+from exoticcone.orbits import (
+    _assemble,
+    _perp_via,
+    _seed_subspaces,
+    centralizer_basis,
+)
 from exoticcone.rootdata import (
     SignedPermutation,
     rho,
@@ -319,3 +328,44 @@ def exv_module(pair) -> tuple:
     through the kernels and images of the powers of x."""
     v = int_rows([pair.v_vec()])[0]
     return int_span([mat_vec(y, v) for y in centralizer_basis(pair.x_rows())])
+
+
+# -- The closure search over all ordered pairs: the reference for the
+#    closure rounds of orbits.adapted_filtration ------------------------------
+
+def adapted_filtration(pair, closure_depth):
+    """``orbits.adapted_filtration`` with each closure round eliminating
+    the sum and intersection of every (new subspace, lattice member) pair:
+    a pair of two new subspaces in both orders, and comparable pairs too.
+    The seeds, the assembly and the verification are the library's; only
+    the join/meet loop differs. The pair must carry a compatible form."""
+    xi = pair._int_x
+    b = pair._orbit
+    profile = filtration_dims(b)
+    d = pair.dim
+    lattice = _seed_subspaces(xi, pair.v_vec(), pair._module, *pair._powers)
+    frontier = set(lattice)
+    perps = {}
+    for depth in range(closure_depth + 1):
+        matches = _assemble(pair, xi, b, profile, lattice, perps)
+        if len(matches) == 1:
+            return matches[0]
+        if len(matches) > 1:
+            raise NotUnique(f"{len(matches)} adapted filtrations for {b}")
+        if depth == closure_depth:
+            break
+        fresh = set()
+        for sub in frontier:
+            fresh.add(_perp_via(perps, sub, pair.space))
+            fresh.add(map_image(xi, sub))
+            fresh.add(map_preimage(xi, sub, d))
+        for a in frontier:
+            for bsub in lattice:
+                fresh.add(sub_add(a, bsub))
+                fresh.add(lib_sub_intersect(a, bsub, d))
+        fresh -= lattice
+        if not fresh:
+            break
+        lattice |= fresh
+        frontier = fresh
+    raise FiltrationNotFound(f"no adapted filtration within {closure_depth}")

@@ -7,6 +7,7 @@ argument list, one a line, for running the rows under ``timeout``.
 """
 
 import io
+import os
 import shlex
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,6 +24,11 @@ BUDGET = 10.0
 EDGE_BIPARTITIONS = [("[6,1]", "[1]"), ("[8]", "[]"),
                      ("[]", "[1,1,1,1,1,1,1,1]")]
 
+# rep(5,1,1 | 1) conjugated by random_symplectic(space, 7): a dense n = 8
+# pair, paths relative to the root of the repository
+DENSE_PAIR = "tests/data/pair_n8_conj.json"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 ROWS = [
     ("poset", "--n", "8"),
     ("poset", "--n", "8", "--dot"),
@@ -32,11 +38,14 @@ ROWS = [
     # rank_cap is 8 and no cap bounds the entries
     ("bwb", "--lambda", "[-1000000,1000000,-999999,999999,-999998,999998,"
                         "-999997,999997]"),
+    ("orbit-identify", "--file", DENSE_PAIR),
+    ("adapted", "--file", DENSE_PAIR),
 ]
 
 
 @pytest.mark.parametrize("argv", ROWS, ids=" ".join)
-def test_caps_edge_row_exits_0_within_the_budget(argv):
+def test_caps_edge_row_exits_0_within_the_budget(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
     out, err = io.StringIO(), io.StringIO()
     start = time.perf_counter()
     with redirect_stdout(out), redirect_stderr(err):

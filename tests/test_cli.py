@@ -257,6 +257,19 @@ def test_over_long_json_integer_is_one_error_line(tmp_path):
         assert "Traceback" not in err
 
 
+def test_deeply_nested_json_is_one_error_line(tmp_path):
+    nested = "[" * 100_000
+    path = tmp_path / "pair.json"
+    path.write_text(nested)
+    for argv in (("bwb", "--lambda", nested),
+                 ("orbit-identify", "--file", str(path)),
+                 ("adapted", "--file", str(path))):
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: malformed JSON")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_degree_cap_guards_mult_and_kostant():
     for argv in (
         ("kostant", "--kind", "p'", "--mu", "[40,0,0,0,0,0,0,0]"),

@@ -431,6 +431,36 @@ def test_adapted_filtration_conjugate_needs_no_closure_round():
     assert filt.level(1) == span([mat_vec(mat_pow(x, j), v) for j in range(5)])
 
 
+def _closure_outcome(search, pair, depth):
+    try:
+        return search(pair, closure_depth=depth)
+    except FiltrationNotFound:
+        return FiltrationNotFound
+
+
+def test_closure_rounds_match_the_all_pairs_oracle():
+    """Skipping frontier pairs already used and comparable pairs changes
+    no round's lattice: at every closure_depth the library returns the
+    oracle's filtration, or both raise FiltrationNotFound."""
+    pairs = []
+    for n in range(1, 5):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            pairs.append(rep)
+            if n <= 3:
+                pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
+                          for s in range(3)]
+    outcomes = set()
+    for pair in pairs:
+        for depth in range(5):
+            want = _closure_outcome(oracles.adapted_filtration, pair, depth)
+            got = _closure_outcome(adapted_filtration, pair, depth)
+            assert got == want, (pair._orbit, depth)
+            outcomes.add((want is FiltrationNotFound, depth))
+    # both outcomes occur, the refusal at depths 0 and 1
+    assert {(True, 0), (True, 1), (False, 0), (False, 4)} <= outcomes
+
+
 def test_pair_is_classified_once(monkeypatch):
     from exoticcone import orbits
 
