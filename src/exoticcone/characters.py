@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import config
 from .errors import InternalInconsistency
-from .kostant import kostant_p
+from .kostant import counter
 from .records import Record
 from .rootdata import (
     alternating_sum,
@@ -50,7 +50,7 @@ def weight_mult(mu, lam) -> int:
     alternating Weyl sum against the type C partition count."""
     mu = require_dominant(mu, "mu")
     lam = check_weight(lam)
-    return alternating_sum(mu, lam, kostant_p)
+    return alternating_sum(mu, lam, counter(len(mu), exotic=False))
 
 
 def dominant_cone_weights(mu) -> list:

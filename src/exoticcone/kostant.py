@@ -22,6 +22,13 @@ clears itself when a store finds it holding ``config.memo_cap`` entries.
 It takes no lock: a memo value is a function of its key alone, so
 concurrent callers can at worst recompute or evict an entry, never store a
 wrong one.
+
+``counter(n, exotic)`` returns that shared count as a function of one int
+tuple of length n, and validates nothing. ``kostant_p`` and
+``kostant_p_exotic`` are ``check_weight`` plus that function. The Weyl sums
+of :mod:`exoticcone.characters` and :mod:`exoticcone.sections` fetch it
+once per sum and call it on terms built from weights they have already
+validated, so no term pays for ``check_weight``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ class _Counter:
     def count(self, target) -> int:
         if not in_root_cone(target):
             return 0
-        return self._count(0, tuple(target))
+        return self._count(0, target)
 
     def _count(self, k: int, residual) -> int:
         if not any(residual):
@@ -85,27 +92,30 @@ class _Counter:
         return total
 
 
-def _counter(n: int, exotic: bool) -> _Counter:
+def counter(n: int, exotic: bool):
+    """The rank-n partition count, over the exotic weights if ``exotic``
+    and over the positive roots if not. It takes an int tuple of length n
+    and does no validation."""
     key = (n, exotic)
-    counter = _registry.get(key)
-    if counter is None:
+    shared = _registry.get(key)
+    if shared is None:
         data = root_data(n)
         summands = data.exotic_weights if exotic else data.positive_roots
         # setdefault is atomic, so racing first callers share one counter
-        counter = _registry.setdefault(key, _Counter(summands))
-    return counter
+        shared = _registry.setdefault(key, _Counter(summands))
+    return shared.count
 
 
 def kostant_p(mu) -> int:
     """Partition count of mu over the type C positive roots."""
     mu = check_weight(mu)
-    return _counter(len(mu), exotic=False).count(mu)
+    return counter(len(mu), exotic=False)(mu)
 
 
 def kostant_p_exotic(mu) -> int:
     """Partition count of mu with the long roots 2 e_i replaced by e_i."""
     mu = check_weight(mu)
-    return _counter(len(mu), exotic=True).count(mu)
+    return counter(len(mu), exotic=True)(mu)
 
 
 def subset_identity_check(mu) -> bool:
@@ -117,7 +127,8 @@ def subset_identity_check(mu) -> bool:
     """
     mu = check_weight(mu)
     n = len(mu)
+    count = counter(n, exotic=False)
     total = 0
     for picks in itertools.product((0, 1), repeat=n):
-        total += kostant_p(tuple(c - p for c, p in zip(mu, picks)))
-    return total == kostant_p_exotic(mu)
+        total += count(tuple(c - p for c, p in zip(mu, picks)))
+    return total == counter(n, exotic=True)(mu)

@@ -118,7 +118,9 @@ def alternating_sum(mu, lam, count) -> int:
     """Sum over the Weyl group of sign(w) * count(w(mu + rho) - (lam + rho)).
 
     With a partition count over the positive roots this is Kostant's
-    multiplicity formula; ``count`` is any function of one weight.
+    multiplicity formula; ``count`` is any function of one weight. It
+    receives int tuples of rank n built from mu and lam, which the callers
+    validate, so it may skip validation, as ``kostant.counter`` does.
     """
     check_same_rank(mu, lam)
     n = len(mu)

@@ -24,7 +24,7 @@ import itertools
 
 from .characters import weight_mult_oracle
 from .errors import InternalInconsistency
-from .kostant import kostant_p_exotic
+from .kostant import counter
 from .rootdata import (
     alternating_sum,
     check_same_rank,
@@ -41,7 +41,7 @@ def h0_mult(mu, lam) -> int:
     """Multiplicity of V_mu in the sections of the bundle twisted by lam."""
     mu = require_dominant(mu, "mu")
     lam = require_dominant(lam, "lambda")
-    total = alternating_sum(mu, lam, kostant_p_exotic)
+    total = alternating_sum(mu, lam, counter(len(mu), exotic=True))
     if total < 0:
         raise InternalInconsistency(
             f"negative section multiplicity {total} at mu={mu}, lam={lam}"

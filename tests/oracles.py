@@ -95,15 +95,9 @@ def recursive_kostant(target, summands) -> int:
     return rec(0, list(target))
 
 
-def graded_exotic_count(n: int):
-    """The graded exotic partition count of rank n, as ``count(k, weight)``:
-    the number of multisets of k exotic weights (e_i - e_j and e_i + e_j
-    for i < j, and e_i) that sum to the weight.
-
-    Memoised on (k, summand index, residual). Every exotic weight has
-    nonnegative prefix sums, so a residual with a negative prefix sum is
-    dropped. The summands are built here, not read from ``root_data``.
-    """
+def exotic_weights(n: int) -> list:
+    """The exotic weights of rank n, e_i - e_j and e_i + e_j for i < j,
+    and e_i, built here rather than read from ``root_data``."""
     summands = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -111,6 +105,19 @@ def graded_exotic_count(n: int):
                 summands.append(tuple(
                     1 if m == i else s if m == j else 0 for m in range(n)))
         summands.append(tuple(int(m == i) for m in range(n)))
+    return summands
+
+
+def graded_exotic_count(n: int):
+    """The graded exotic partition count of rank n, as ``count(k, weight)``:
+    the number of multisets of k ``exotic_weights(n)`` that sum to the
+    weight.
+
+    Memoised on (k, summand index, residual). Every exotic weight has
+    nonnegative prefix sums, so a residual with a negative prefix sum is
+    dropped.
+    """
+    summands = exotic_weights(n)
 
     @functools.lru_cache(maxsize=None)
     def rec(k, index, residual):
@@ -130,18 +137,24 @@ def graded_exotic_count(n: int):
     return lambda k, weight: rec(k, 0, tuple(weight))
 
 
+@functools.lru_cache(maxsize=None)
+def _signed_group(n: int) -> tuple:
+    """Every validated ``SignedPermutation`` of rank n with its sign."""
+    return tuple((w, w.sign()) for w in signed_permutations(n))
+
+
 def alternating_sum(mu, lam, count) -> int:
     """Sum over the Weyl group of sign(w) * count(w(mu + rho) - (lam + rho)),
-    one validated ``SignedPermutation`` per term: ``w.act`` places the
-    coordinates and ``w.sign()`` recounts the inversions, so it shares no
+    over validated ``SignedPermutation`` objects: ``w.act`` places the
+    coordinates and ``w.sign()`` counts the inversions, so it shares no
     sign or placement bookkeeping with ``rootdata.alternating_sum``."""
     r = rho(len(mu))
     shifted_mu = tuple(a + b for a, b in zip(mu, r))
     shifted_lam = tuple(a + b for a, b in zip(lam, r))
     total = 0
-    for w in signed_permutations(len(mu)):
+    for w, sign in _signed_group(len(mu)):
         arg = tuple(a - b for a, b in zip(w.act(shifted_mu), shifted_lam))
-        total += w.sign() * count(arg)
+        total += sign * count(arg)
     return total
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 from exoticcone import config, kostant
 from exoticcone.config import Config
 from exoticcone.kostant import (
+    counter,
     kostant_p,
     kostant_p_exotic,
     subset_identity_check,
@@ -67,9 +69,30 @@ def test_dp_matches_brute_force_rank1_and_2():
         )
 
 
+def test_counter_is_the_checked_count_without_the_check():
+    # random weights of rank 1-4 with coordinates in -2..2, so about half
+    # leave the root cone; brute_kostant wherever its plain enumeration,
+    # (height + 1) ** len(summands) leaves, stays small, and the memo-free
+    # recursion everywhere
+    rng = random.Random(4)
+    for n in range(1, 5):
+        data = root_data(n)
+        for _ in range(25):
+            mu = tuple(rng.randint(-2, 2) for _ in range(n))
+            height = max(sum(itertools.accumulate(mu)), 0)
+            for exotic, checked, summands in (
+                    (False, kostant_p, data.positive_roots),
+                    (True, kostant_p_exotic, data.exotic_weights)):
+                got = counter(n, exotic)(mu)
+                assert got == checked(mu)
+                assert got == recursive_kostant(mu, summands)
+                if (height + 1) ** len(summands) <= 5_000:
+                    assert got == brute_kostant(mu, summands)
+
+
 def _clear_memos():
-    for counter in kostant._registry.values():
-        counter.memo.clear()
+    for shared in kostant._registry.values():
+        shared.memo.clear()
 
 
 def test_dp_matches_recursion_rank3_and_4(monkeypatch):

@@ -1,3 +1,5 @@
+import collections
+import itertools
 import math
 
 import pytest
@@ -8,14 +10,16 @@ from exoticcone import characters, config, kostant
 from exoticcone.characters import weight_mult, weyl_dim
 from exoticcone.config import Config
 from exoticcone.errors import DomainError
-from exoticcone.rootdata import alternating_sum, dominant_rep, in_conv
+from exoticcone.kostant import kostant_p, kostant_p_exotic
+from exoticcone.rootdata import alternating_sum, bwb, dominant_rep, in_conv
 from exoticcone.sections import (
     dominant_weights_of_degree,
     h0_decompose,
     h0_mult,
     h0_mult_subsets,
 )
-from oracles import graded_exotic_count
+from oracles import alternating_sum as oracle_alternating_sum
+from oracles import exotic_weights, graded_exotic_count
 
 
 def dominant2(bound=3):
@@ -108,6 +112,25 @@ def test_h0_decompose_is_the_nonzero_part_of_its_window(n):
         assert all(in_conv(lam, mu) for mu in out)
 
 
+def test_weyl_sums_on_the_shared_counter_match_the_checked_counts():
+    # h0_mult and weight_mult hand kostant.counter to the Weyl loop; the
+    # oracle loop calls the public, checked counts instead, on the whole
+    # n = 4 sweep window of degree <= 4 and on a few n = 5 cells
+    window = [mu for k in range(5) for mu in dominant_weights_of_degree(4, k)]
+    cells = [(mu, lam) for mu in window for lam in window]
+    cells += [((2, 1, 1, 0, 0), (0, 0, 0, 0, 0)),
+              ((1, 1, 1, 1, 0), (0, 0, 0, 0, 0)),
+              ((3, 1, 0, 0, 0), (1, 1, 0, 0, 0))]
+    nonzero = 0
+    for mu, lam in cells:
+        a = h0_mult(mu, lam)
+        b = weight_mult(mu, lam)
+        assert a == oracle_alternating_sum(mu, lam, kostant_p_exotic)
+        assert b == oracle_alternating_sum(mu, lam, kostant_p)
+        nonzero += a > 0 and b > 0
+    assert nonzero >= 40
+
+
 def hilbert_coefficient(n: int, k: int) -> int:
     """[t^k] prod_{d=2..n} (1 - t^d) / (1 - t)^(2n^2 + n - 1), the Hilbert
     series of the exotic nilpotent cone: a normal complete intersection
@@ -142,6 +165,65 @@ def test_graded_sections_of_the_trivial_bundle_match_the_hilbert_series(
             alternating_sum(mu, zero, lambda w: count(k, w)) * weyl_dim(mu)
             for d in range(2 * k + 1)
             for mu in dominant_weights_of_degree(n, d)) == dim
+
+
+def bwb_straightened(n: int, lams, top: int) -> collections.Counter:
+    """m_k(mu, lam) for every k <= top and lam in lams, keyed (k, mu, lam),
+    by BWB straightening: each multiset M of k exotic weights adds s to
+    m_k(mu, lam) when bwb(lam + sum M) = (s, mu). The multisets are
+    enumerated one by one, so this route has no Weyl-sum loop and no
+    partition-count DP."""
+    weights = exotic_weights(n)
+    out = collections.Counter()
+    for k in range(top + 1):
+        sums = collections.Counter(
+            tuple(map(sum, zip((0,) * n, *multiset)))
+            for multiset in itertools.combinations_with_replacement(
+                weights, k))
+        for lam in lams:
+            for v, copies in sums.items():
+                hit = bwb(tuple(a + b for a, b in zip(lam, v)))
+                if hit is not None:
+                    sign, mu = hit
+                    out[k, mu, lam] += sign * copies
+    return out
+
+
+@pytest.mark.parametrize("n, degree", [(1, 8), (2, 4), (3, 3), (4, 1)])
+def test_graded_sections_by_bwb_straightening(n, degree):
+    """Degree k of the sections has the multiplicity
+    m_k(mu, lam) = sum_w sign(w) p'_k(w(mu + rho) - (lam + rho)), with p'_k
+    the count of multisets of k exotic weights (ROADMAP item 6). Checked
+    on every pair of dominant mu, lam with coordinate sums <= degree, at
+    (n, degree) = (1, 8), (2, 4), (3, 3), (4, 1): 215 pairs. k runs to
+    n * degree, which bounds the height of mu - lam, and m_k vanishes for
+    k above that height, since every exotic weight has height >= 1.
+
+    The checks: every m_k >= 0; the m_k sum to ``h0_mult``; and BWB
+    straightening equals the graded alternating sum of
+    ``graded_exotic_count``. Straightening shares no Weyl-sum loop and no
+    counter with ``h0_mult``. One mutation at a time: dropping the
+    inversion parity in ``rootdata.alternating_sum``, or the sign in
+    ``rootdata.bwb``, fails the sum and the straightening check; dropping
+    e_n from ``root_data(n).exotic_weights``, putting 2 e_i there for e_i,
+    handing ``h0_mult`` the positive-root counter, or dropping e_n from
+    ``oracles.exotic_weights`` fails the sum alone. rho + 1 in
+    ``root_data`` moves straightening and both Weyl sums together and
+    passes all three; the Hilbert-series test and route B catch it.
+    Nonnegativity caught none of these.
+    """
+    window = [mu for d in range(degree + 1)
+              for mu in dominant_weights_of_degree(n, d)]
+    top = n * degree
+    straightened = bwb_straightened(n, window, top)
+    count = graded_exotic_count(n)
+    for mu in window:
+        for lam in window:
+            m = [straightened[k, mu, lam] for k in range(top + 1)]
+            assert min(m) >= 0
+            assert sum(m) == h0_mult(mu, lam)
+            assert m == [alternating_sum(mu, lam, lambda w: count(k, w))
+                         for k in range(top + 1)]
 
 
 def test_dominant_weights_of_degree():
