@@ -9,6 +9,14 @@ mu mu) and on the quotient by it (nu nu). The classification never touches
 the form; the form enters only through membership checking, perps, and the
 adapted filtrations.
 
+A pair is classified once, and what that computes stays with the pair:
+the kernels and images of the powers of x, E^x v (below), then the two
+Jordan types, read off the rank sequences of x on E = E^x v and on V/E.
+The ranks on E are dim x^k E, from repeated images of E; the ranks on
+V/E are dim(im x^k + E) - dim E, from the images of the powers already
+held. Whether x is self-adjoint for the attached form is checked once
+per pair too.
+
 E^x v = z(x) v is the smallest subspace that contains v and is stable
 under every map commuting with x (hyperinvariant). For nilpotent x the
 hyperinvariant subspaces form the lattice generated by the kernels and
@@ -35,12 +43,14 @@ from .bipartitions import Bipartition, filtration_dims
 from .errors import (
     DomainError,
     FiltrationNotFound,
+    InternalInconsistency,
     NotDoubled,
     NotUnique,
     SelfCheckFailed,
 )
 from .linalg import (
     Subspace,
+    _in_span,
     contains,
     frac,
     full_space,
@@ -172,7 +182,13 @@ class ExoticPair(Record):
     @cached_property
     def _orbit(self) -> Bipartition:
         """The orbit read off from E^x v; the form is not checked here."""
-        return _orbit_from_module(self._int_x, self._module)
+        return _orbit_from_module(self._int_x, self._module, self._powers[1])
+
+    @cached_property
+    def _self_adjoint(self) -> bool:
+        """x is self-adjoint for the attached form (``form_compatible``);
+        True when no form is attached."""
+        return self.space is None or form_compatible(self._int_x, self.space)
 
 
 def make_pair(v, x, space: SymplecticSpace | None = None) -> ExoticPair:
@@ -192,7 +208,7 @@ def in_exotic_cone(pair: ExoticPair) -> bool:
         pair._powers
     except DomainError:
         return False
-    return pair.space is None or form_compatible(pair._int_x, pair.space)
+    return pair._self_adjoint
 
 
 def solve_symplectic_form(x) -> tuple:
@@ -230,7 +246,9 @@ def solve_symplectic_form(x) -> tuple:
     basis = (
         nullspace(rows, len(pairs)) if rows else identity(len(pairs))
     )
-    if not basis:
+    if not basis and d:
+        # the zero space has no nonzero form, but its empty form is
+        # invertible, and the scan below returns it
         raise DomainError("no nonzero invariant antisymmetric form")
     bound = d * len(basis) + 1
     for t in range(1, bound + 1):
@@ -345,21 +363,38 @@ def exv_module(pair: ExoticPair) -> Subspace:
     return pair._module
 
 
-def _is_stable(x, sub: Subspace) -> bool:
-    return sub_leq(map_image(x, sub), sub)
+def _maps_into(xi, s: Subspace, t: Subspace) -> bool:
+    """x s lies in t, for the int map xi: each x u, for u a row of s,
+    reduces to 0 against t. The predicate of sub_leq(map_image(xi, s),
+    t), without an elimination of x s."""
+    return all(_in_span(t, mat_vec(xi, u)) for u in s)
+
+
+def _parts(ranks) -> tuple:
+    """The Jordan type with rank sequence ranks, where ranks[k] is the
+    rank of x^k and the sequence ends in 0. There are g_k = ranks[k-1] -
+    ranks[k] blocks of size >= k, so the type is the partition conjugate
+    to (g_1, g_2, ...): its i-th part, from 0, counts the k with g_k > i."""
+    ge = [a - b for a, b in zip(ranks, ranks[1:])]
+    return tuple(sum(g > i for g in ge) for i in range(ge[0] if ge else 0))
 
 
 def jordan_type(x, subspace: Subspace | None = None,
                 quotient_by: Subspace | None = None) -> tuple:
     """Jordan type of x on the full space, an x-stable subspace, or the
-    quotient by one, from the rank sequence of powers: the number of
-    blocks of size >= k is rank(x^(k-1)) - rank(x^k)."""
+    quotient by one, from the rank sequence of powers (``_parts``): the
+    number of blocks of size >= k is rank(x^(k-1)) - rank(x^k).
+
+    The classifier does not call it: ``_orbit_from_module`` reads the
+    same rank sequences off the images of the powers of x that the pair
+    already holds. This is the general entry point, which scales x,
+    checks stability and raises when x is not nilpotent on the space."""
     xi = int_multiple(to_mat(x))
     d = len(xi)
     if subspace is not None and quotient_by is not None:
         raise DomainError("pass a subspace or a quotient, not both")
     for sub in (subspace, quotient_by):
-        if sub is not None and not _is_stable(xi, sub):
+        if sub is not None and not _maps_into(xi, sub, sub):
             raise DomainError("subspace is not x-stable")
     # x^k of the space is spanned by vecs after k steps; on the quotient
     # its rank is that of vecs together with the quotient's rows, less s
@@ -373,14 +408,7 @@ def jordan_type(x, subspace: Subspace | None = None,
         if r == ranks[-1]:
             raise DomainError("endomorphism is not nilpotent on this space")
         ranks.append(r)
-    blocks_ge = [ranks[i] - ranks[i + 1] for i in range(len(ranks) - 1)]
-    parts = []
-    for size in range(1, len(blocks_ge) + 1):
-        count = blocks_ge[size - 1] - (
-            blocks_ge[size] if size < len(blocks_ge) else 0
-        )
-        parts.extend([size] * count)
-    return tuple(sorted(parts, reverse=True))
+    return _parts(ranks)
 
 
 def de_double(parts) -> tuple:
@@ -402,15 +430,28 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
     form, e.g. when the Jordan type of x is not doubled.
     """
     pair._powers  # raises DomainError when x is not nilpotent
-    if pair.space is not None and not form_compatible(pair._int_x, pair.space):
+    if not pair._self_adjoint:
         raise DomainError("x is not self-adjoint for the supplied form")
     return pair._orbit
 
 
-def _orbit_from_module(xi, exv: Subspace) -> Bipartition:
-    mu = de_double(jordan_type(xi, subspace=exv))
-    nu = de_double(jordan_type(xi, quotient_by=exv))
-    return Bipartition(mu, nu)
+def _orbit_from_module(xi, exv: Subspace, images) -> Bipartition:
+    """The orbit from the Jordan types of the nilpotent int map xi on E =
+    exv and on V/E, with images[k] = im x^k: the rank of x^k is dim x^k E
+    on E and dim(im x^k + E) - dim E on V/E."""
+    e = len(exv)
+    on_module = [e]
+    sub = map_image(xi, exv)
+    if not sub_leq(sub, exv):
+        raise InternalInconsistency("E^x v is not x-stable")
+    while on_module[-1]:
+        on_module.append(len(sub))
+        sub = map_image(xi, sub)
+    # images[0] is the whole space
+    on_quotient = [len(xi) - e]
+    on_quotient += [len(sub_add(image, exv)) - e for image in images[1:]]
+    return Bipartition(de_double(_parts(on_module)),
+                       de_double(_parts(on_quotient)))
 
 
 def representative(b: Bipartition) -> ExoticPair:
@@ -491,6 +532,7 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
     def __post_init__(self):
         levels = tuple((a, span(sub)) for a, sub in self.subspaces)
         object.__setattr__(self, "subspaces", levels)
+        object.__setattr__(self, "_by_index", dict(levels))
 
     def level(self, a: int) -> Subspace:
         lo, hi = self.subspaces[0][0], self.subspaces[-1][0]
@@ -498,7 +540,7 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
             return full_space(self.space.dim)
         if a > hi:
             return zero_space()
-        return dict(self.subspaces)[a]
+        return self._by_index[a]
 
     def range(self):
         return self.subspaces[0][0], self.subspaces[-1][0]
@@ -534,7 +576,7 @@ def _verify(filt, pair, b, perps) -> bool:
             return False
         if _perp_via(perps, filt.level(a), pair.space) != filt.level(1 - a):
             return False
-        if not sub_leq(map_image(xi, filt.level(a)), filt.level(a + 2)):
+        if not _maps_into(xi, filt.level(a), filt.level(a + 2)):
             return False
     if not contains(filt.level(1), pair.v_vec()):
         return False
@@ -605,7 +647,7 @@ def _assemble(pair, xi, b, profile, lattice, perps):
             target = chosen.get(a + 2)
             if target is None and a + 2 > hi:
                 target = zero_space()
-            if target is not None and not sub_leq(map_image(xi, sub), target):
+            if target is not None and not _maps_into(xi, sub, target):
                 continue
             chosen[a] = sub
             descend(a - 1, chosen)
@@ -655,7 +697,7 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
         raise DomainError("adapted filtration needs a symplectic form")
     xi = pair._int_x
     kernels, images = pair._powers
-    if not form_compatible(xi, pair.space):
+    if not pair._self_adjoint:
         raise DomainError("pair is not in the exotic cone for this form")
     b = pair._orbit
     profile = filtration_dims(b)

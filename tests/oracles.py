@@ -3,7 +3,7 @@
 import functools
 from fractions import Fraction
 
-from exoticcone.bipartitions import enumerate_Q, filtration_dims
+from exoticcone.bipartitions import Bipartition, enumerate_Q, filtration_dims
 from exoticcone.errors import DomainError, FiltrationNotFound, NotUnique
 from exoticcone.linalg import (
     Mat,
@@ -22,6 +22,9 @@ from exoticcone.orbits import (
     _perp_via,
     _seed_subspaces,
     centralizer_basis,
+    de_double,
+    exv_module as lib_exv_module,
+    jordan_type,
 )
 from exoticcone.rootdata import (
     SignedPermutation,
@@ -341,6 +344,22 @@ def exv_module(pair) -> tuple:
     through the kernels and images of the powers of x."""
     v = int_rows([pair.v_vec()])[0]
     return int_span([mat_vec(y, v) for y in centralizer_basis(pair.x_rows())])
+
+
+# -- The orbit from two jordan_type calls: the reference for the
+#    classification behind orbits.orbit_of ----------------------------------
+
+def orbit_of(pair) -> Bipartition:
+    """The orbit of a nilpotent pair from the public ``jordan_type`` on
+    E = E^x v and on V/E. Each call scales x, checks that E is x-stable
+    and pushes a basis (of E, or of the whole space for V/E) through the
+    powers of x; the library reads the same ranks off the images of the
+    powers of x that the pair already holds. E^x v is the library's, which
+    ``exv_module`` above checks."""
+    x = pair.x_rows()
+    exv = lib_exv_module(pair)
+    return Bipartition(de_double(jordan_type(x, subspace=exv)),
+                       de_double(jordan_type(x, quotient_by=exv)))
 
 
 # -- The closure search over all ordered pairs: the reference for the

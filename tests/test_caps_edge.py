@@ -24,9 +24,10 @@ BUDGET = 10.0
 EDGE_BIPARTITIONS = [("[6,1]", "[1]"), ("[8]", "[]"),
                      ("[]", "[1,1,1,1,1,1,1,1]")]
 
-# rep(5,1,1 | 1) conjugated by random_symplectic(space, 7): a dense n = 8
-# pair, paths relative to the root of the repository
+# rep(5,1,1 | 1) and rep(6,1 | 1) conjugated by random_symplectic(space, 7):
+# dense n = 8 pairs, paths relative to the root of the repository
 DENSE_PAIR = "tests/data/pair_n8_conj.json"
+DENSE_PAIR_61 = "tests/data/pair_n8_conj_61.json"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ROWS = [
@@ -40,6 +41,8 @@ ROWS = [
                         "-999997,999997]"),
     ("orbit-identify", "--file", DENSE_PAIR),
     ("adapted", "--file", DENSE_PAIR),
+    # adapted on this pair takes more than half the budget, so it is no row
+    ("orbit-identify", "--file", DENSE_PAIR_61),
 ]
 
 

@@ -295,6 +295,23 @@ def test_rank_cap_flag_override():
     assert code == 0
 
 
+def test_adapted_solves_the_empty_form_of_the_rank_0_representative(
+        tmp_path):
+    doc = invoke_json("representative", "--mu", "[]", "--nu", "[]")
+    assert doc == {"n": 0, "v": [], "x": []}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    out = invoke_json("adapted", "--file", str(path))
+    assert (out["mu"], out["nu"]) == ([], [])
+    assert out["omega_solved"] is True and out["omega"] == []
+    assert out["verified"] is True
+    # the same answer as for the pair given with its empty form
+    path.write_text(json.dumps({**doc, "omega": []}))
+    given = invoke_json("adapted", "--file", str(path))
+    assert given["omega_solved"] is False
+    assert given["subspaces"] == out["subspaces"]
+
+
 def test_adapted_depth_cap_names_knob(tmp_path):
     doc = invoke_json("representative", "--mu", "[2,2]", "--nu", "[]")
     path = tmp_path / "pair.json"

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -14,6 +14,7 @@ from exoticcone.errors import DomainError, FiltrationNotFound, NotDoubled
 from exoticcone.linalg import (
     det,
     inverse,
+    map_image,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -27,6 +28,7 @@ from exoticcone.orbits import (
     ExoticPair,
     IsotropicFiltration,
     SymplecticSpace,
+    _maps_into,
     adapted_filtration,
     centralizer_basis,
     conjugate_pair,
@@ -195,6 +197,48 @@ def test_jordan_type_examples(sample_pair):
     assert jordan_type(x, quotient_by=ex) == (3, 3)
 
 
+def test_orbit_of_matches_the_two_jordan_type_oracle():
+    """``orbit_of`` reads the ranks of x on E^x v and on the quotient off
+    the images of the powers of x; the oracle calls ``jordan_type`` twice.
+    They agree on every representative with n <= 5 and on ten conjugates
+    of each orbit with n <= 3.
+
+    This test fails when the quotient ranks drop the "- dim E" (dim(im
+    x^k + E) in place of dim(im x^k + E) - dim E), or read im x^(k+1) in
+    place of im x^k."""
+    for n in range(6):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            assert orbit_of(rep) == oracles.orbit_of(rep) == b
+            if not 1 <= n <= 3:
+                continue
+            for seed in range(10):
+                moved = conjugate_pair(rep, random_symplectic(rep.space, seed))
+                assert orbit_of(moved) == oracles.orbit_of(moved) == b, seed
+
+
+@st.composite
+def map_and_subspaces(draw):
+    """An int map x of a space of dimension d <= 4, and two subspaces."""
+    d = draw(st.integers(1, 4))
+    row = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    x = draw(st.lists(row, min_size=d, max_size=d))
+    s, t = (span(draw(st.lists(row, max_size=d))) for _ in range(2))
+    return x, s, t
+
+
+@given(map_and_subspaces())
+# x s = span(e1) does not lie in t = span(e2)
+@example(([[0, 1], [0, 0]], span([[0, 1]]), span([[0, 1]])))
+@settings(max_examples=100, deadline=None)
+def test_maps_into_is_containment_of_the_image(case):
+    x, s, t = case
+    image = map_image(x, s)
+    # t alone may or may not hold x s; t + x s always does
+    for target in (t, sub_add(t, image)):
+        assert _maps_into(x, s, target) == sub_leq(image, target)
+
+
 def test_jordan_type_rejects_unstable_subspace():
     x = [[0, 1], [0, 0]]
     with pytest.raises(DomainError):
@@ -302,6 +346,8 @@ def test_solve_symplectic_form(sample_pair):
     )
     with pytest.raises(DomainError):
         solve_symplectic_form([[0, 1], [0, 0]])
+    # the zero space carries one form, the empty one
+    assert solve_symplectic_form([]) == ()
 
 
 def test_adapted_filtration_sample(sample_pair_with_form):
@@ -472,12 +518,21 @@ def test_pair_is_classified_once(monkeypatch):
         return power_spaces(xi)
 
     monkeypatch.setattr(orbits, "_power_spaces", counted)
+    form_checks = []
+    form_compatible = orbits.form_compatible
+
+    def counted_form(xi, space):
+        form_checks.append(xi)
+        return form_compatible(xi, space)
+
+    monkeypatch.setattr(orbits, "form_compatible", counted_form)
     pair = load_pair("pair_n5_conj.json")
     b = orbit_of(pair)
     filt = adapted_filtration(pair)
     assert verify_adapted(filt, pair, b)
     assert exv_module(pair) and in_exotic_cone(pair)
     assert len(calls) == 1
+    assert len(form_checks) == 1
     calls.clear()
     representative(bipartition((2, 1), (1,)))
     assert len(calls) == 1
@@ -515,9 +570,16 @@ def test_adapted_filtration_computes_each_perp_once(monkeypatch):
 def test_orbit_of_rejects_incompatible_form():
     # two chains oriented against the antidiagonal pairing
     x = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
-    assert not in_exotic_cone(make_pair([0] * 4, x, standard_form(2)))
-    with pytest.raises(DomainError):
-        orbit_of(make_pair([0] * 4, x, standard_form(2)))
+    # the check is made once per pair, so each entry point is tried on a
+    # fresh pair and again after the others
+    for first in (in_exotic_cone, orbit_of, adapted_filtration):
+        pair = make_pair([0] * 4, x, standard_form(2))
+        for call in (first, in_exotic_cone, orbit_of, adapted_filtration):
+            if call is in_exotic_cone:
+                assert not in_exotic_cone(pair)
+            else:
+                with pytest.raises(DomainError):
+                    call(pair)
 
 
 def test_pair_json_round_trip():
