@@ -51,7 +51,9 @@ def main():
             print(
                 f"  {label:<24} depth={depth} verified={ok} ({elapsed:.2f}s)"
             )
-            if worst >= 0:
+            if not ok:
+                worst = -1
+            elif worst >= 0:
                 worst = max(worst, depth)
     if worst >= 0:
         print(f"max depth needed: {worst}")

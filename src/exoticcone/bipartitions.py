@@ -210,19 +210,19 @@ class FiltrationProfile(Record):
     n: int
     levels: tuple  # sorted ((a, dim), ...) covering the full range
 
+    def __post_init__(self):
+        object.__setattr__(self, "_by_index", dict(self.levels))
+
     def dim(self, a: int) -> int:
-        lo, hi = self.levels[0][0], self.levels[-1][0]
-        if a < lo:
-            return 2 * self.n
-        if a > hi:
-            return 0
-        return dict(self.levels)[a]
+        # below the range the level is the whole space, above it zero
+        outside = 2 * self.n if a < self.levels[0][0] else 0
+        return self._by_index.get(a, outside)
 
     def items(self):
         return list(self.levels)
 
     def as_dict(self) -> dict:
-        return dict(self.levels)
+        return dict(self._by_index)
 
 
 def filtration_dims(b: Bipartition) -> FiltrationProfile:

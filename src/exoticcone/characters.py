@@ -11,10 +11,8 @@ irreducible module of highest weight mu:
 
 The ``e_i`` basis is orthonormal, which fixes every pairing normalization.
 
-The Freudenthal tables, one per highest weight, hold ``config.memo_cap``
-entries at most in all: a store that would pass it clears them first, and
-a larger table is not kept. Like the Kostant memo they take no lock: a
-table is a function of its key alone.
+The Freudenthal tables, one per highest weight, are kept by
+``config.store``, each as its count of entries under the one memo budget.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .rootdata import (
     weyl_orbit,
 )
 
-_tables = {}
+_tables = config.new_memo(nested=True)
 
 
 def _norm2(vec) -> int:
@@ -117,14 +115,7 @@ def _freudenthal_table(mu) -> dict:
         if mult:
             table[lam] = mult
 
-    # list() copies the values in one step under the GIL; iterating the
-    # live view raised when another thread stored or cleared meanwhile
-    cap = config.memo_cap
-    if sum(map(len, list(_tables.values()))) + len(table) > cap:
-        _tables.clear()
-    if len(table) <= cap:
-        _tables[mu] = table
-    return table
+    return config.store(_tables, mu, table, len(table))
 
 
 def weight_mult_oracle(mu, lam) -> int:
@@ -158,9 +149,6 @@ class WeightMultiplicityTable(Record):
 
     highest: tuple
     entries: dict
-
-    def mult(self, lam) -> int:
-        return self.entries.get(tuple(lam), 0)
 
     def dimension(self) -> int:
         return sum(self.entries.values())

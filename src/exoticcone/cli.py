@@ -212,16 +212,13 @@ def _cmd_adapted(args, cfg):
         "nu": list(b.nu),
         "omega_solved": solved,
         "subspaces": {
-            str(a): [[orbits.rational_to_json(x) for x in row] for row in sub]
+            str(a): orbits.mat_to_json(sub)
             for a, sub in filt.as_dict().items()
         },
         "verified": verified,
     }
     if solved:
-        out["omega"] = [
-            [orbits.rational_to_json(x) for x in row]
-            for row in pair.space.omega
-        ]
+        out["omega"] = orbits.mat_to_json(pair.space.omega)
     return out
 
 

@@ -39,9 +39,41 @@ class Config(Record):
         return max(1024, self.cache_bytes // _ENTRY_BYTES)
 
 
-# the entry cap each memo reads when it stores; cli.run sets it from the
+# the entries all memos may hold together; cli.run sets it from the
 # loaded config, and a library user may set it directly
 memo_cap = Config().cache_entries
+
+_memos = []  # (memo, nested): an entry of a nested memo is a dict
+_held = 0  # entries stored since the last clear, a dict by its length
+
+
+def new_memo(nested: bool = False) -> dict:
+    memo = {}
+    _memos.append((memo, nested))
+    return memo
+
+
+def store(memo: dict, key, value, size: int = 1):
+    """Keep value in memo under key, and return it. All memos together
+    hold ``memo_cap`` entries at most: a store that would pass the cap
+    clears every memo first, and a value larger than the cap is not kept.
+    No lock is taken: a race can lose a count, which the next recount
+    mends, or clear early, but a value is a function of its key, so no
+    caller ever sees a wrong one."""
+    global _held
+    if size <= memo_cap:
+        _held += size
+        if _held > memo_cap:
+            # a memo cleared by hand leaves _held high, so recount; list()
+            # copies at once, where a live view raises if a thread stores
+            _held = size + sum(sum(map(len, list(m.values()))) if nested
+                               else len(m) for m, nested in list(_memos))
+        if _held > memo_cap:
+            for m, _ in list(_memos):
+                m.clear()
+            _held = size
+        memo[key] = value
+    return value
 
 
 def _parse_file(path: str) -> dict:

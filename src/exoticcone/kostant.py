@@ -17,11 +17,8 @@ the root cone, is dead there, one group early, instead of being memoized
 as zeros through the summands that remain. Every summand has nonnegative
 prefix sums, so a residual with a negative prefix sum is unreachable and
 prunes the branch; the same fact bounds the other coefficients, so the
-recursion terminates. The memo is shared per (rank, multiset) pair and
-clears itself when a store finds it holding ``config.memo_cap`` entries.
-It takes no lock: a memo value is a function of its key alone, so
-concurrent callers can at worst recompute or evict an entry, never store a
-wrong one.
+recursion terminates. The memo is shared per (rank, multiset) pair, and
+a miss stores through ``config.store``, the one eviction rule of all memos.
 
 ``counter(n, exotic)`` returns that shared count as a function of one int
 tuple of length n, and validates nothing. ``kostant_p`` and
@@ -55,12 +52,10 @@ class _Counter:
         # the coordinate a summand closes: no later summand touches it
         self.closing = tuple(g if g != after else None
                              for g, after in zip(leads, leads[1:]))
-        self.memo = {}
+        self.memo = config.new_memo()
 
     def count(self, target) -> int:
-        if not in_root_cone(target):
-            return 0
-        return self._count(0, target)
+        return self._count(0, target) if in_root_cone(target) else 0
 
     def _count(self, k: int, residual) -> int:
         if not any(residual):
@@ -86,10 +81,7 @@ class _Counter:
             r = tuple(a - b for a, b in zip(r, s))
             if not in_root_cone(r):
                 break
-        if len(self.memo) >= config.memo_cap:
-            self.memo.clear()
-        self.memo[key] = total
-        return total
+        return config.store(self.memo, key, total)
 
 
 def counter(n: int, exotic: bool):

@@ -222,25 +222,22 @@ def solve_symplectic_form(x) -> tuple:
     xm = int_multiple(to_mat(x))
     d = len(xm)
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    index = {p: k for k, p in enumerate(pairs)}
-
-    def omega_entry(coeffs, i, j):
-        if i == j:
-            return Fraction(0)
-        if i < j:
-            return coeffs[index[(i, j)]]
-        return -coeffs[index[(j, i)]]
+    # omega[i][j] = sign * coeffs[k] for (k, sign) = slot[i, j]; the
+    # diagonal has no slot and is 0
+    slot = {}
+    for k, (i, j) in enumerate(pairs):
+        slot[i, j], slot[j, i] = (k, 1), (k, -1)
 
     rows = []
     for a in range(d):
         for b in range(a, d):
             # (x^T omega - omega x)[a][b] as a linear form in the coeffs
             row = [0] * len(pairs)
-            for k in range(d):
-                if xm[k][a]:
-                    _accumulate(row, index, k, b, xm[k][a])
-                if xm[k][b]:
-                    _accumulate(row, index, a, k, -xm[k][b])
+            for m in range(d):
+                for ij, w in (((m, b), xm[m][a]), ((a, m), -xm[m][b])):
+                    if w and ij in slot:
+                        k, sign = slot[ij]
+                        row[k] += sign * w
             if any(row):
                 rows.append(row)
     basis = (
@@ -258,19 +255,12 @@ def solve_symplectic_form(x) -> tuple:
             for k, c in enumerate(vec):
                 coeffs[k] += scale * c
             scale *= t
-        om = [[omega_entry(coeffs, i, j) for j in range(d)] for i in range(d)]
+        om = [[Fraction(0)] * d for _ in range(d)]
+        for (i, j), (k, sign) in slot.items():
+            om[i][j] = sign * coeffs[k]
         if linalg.det(om) != 0:
             return _freeze_mat(om)
     raise DomainError("no invertible invariant form (Jordan type not doubled)")
-
-
-def _accumulate(row, index, i, j, weight):
-    if i == j:
-        return
-    if i < j:
-        row[index[(i, j)]] += weight
-    else:
-        row[index[(j, i)]] -= weight
 
 
 def centralizer_basis(x) -> list:
@@ -791,12 +781,16 @@ def rational_to_json(x):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _vec_to_json(v):
-    return [rational_to_json(x) for x in v]
-
-
-def _mat_to_json(m):
+def mat_to_json(m):
     return [[rational_to_json(x) for x in row] for row in m]
+
+
+def _json_array(value, name: str, rows: bool = False) -> list:
+    if type(value) is not list or rows and any(
+            type(row) is not list for row in value):
+        raise DomainError(
+            f"{name} must be a JSON array{' of arrays' * rows}")
+    return value
 
 
 def pair_from_json(obj) -> ExoticPair:
@@ -808,24 +802,25 @@ def pair_from_json(obj) -> ExoticPair:
         n = obj["n"]
         if type(n) is not int:
             raise DomainError(f"n must be an integer: {n!r}")
-        v = to_vec(obj["v"])
-        x = to_mat(obj["x"])
+        v = to_vec(_json_array(obj["v"], "v"))
+        x = to_mat(_json_array(obj["x"], "x", rows=True))
     except KeyError as exc:
         raise DomainError(f"pair document is missing {exc}") from exc
     if len(v) != 2 * n or len(x) != 2 * n:
         raise DomainError(f"v and x must have dimension 2n = {2 * n}")
     space = None
     if obj.get("omega") is not None:
-        space = SymplecticSpace(n=n, omega=_freeze_mat(to_mat(obj["omega"])))
+        omega = to_mat(_json_array(obj["omega"], "omega", rows=True))
+        space = SymplecticSpace(n=n, omega=_freeze_mat(omega))
     return ExoticPair(v=tuple(v), x=_freeze_mat(x), space=space)
 
 
 def pair_to_json(pair: ExoticPair) -> dict:
     out = {
         "n": pair.n,
-        "v": _vec_to_json(pair.v),
-        "x": _mat_to_json(pair.x),
+        "v": [rational_to_json(c) for c in pair.v],
+        "x": mat_to_json(pair.x),
     }
     if pair.space is not None:
-        out["omega"] = _mat_to_json(pair.space.omega)
+        out["omega"] = mat_to_json(pair.space.omega)
     return out

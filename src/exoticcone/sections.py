@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .characters import weight_mult_oracle
+from .characters import _add, weight_mult_oracle
 from .errors import InternalInconsistency
 from .kostant import counter
 from .rootdata import (
@@ -31,10 +31,6 @@ from .rootdata import (
     in_conv,
     require_dominant,
 )
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def h0_mult(mu, lam) -> int:

@@ -149,6 +149,11 @@ def test_table_cache_cap_keeps_answers_correct(monkeypatch):
         for lam in dominant_cone_weights(mu):
             assert weight_mult_oracle(mu, lam) == weight_mult(mu, lam)
             assert sum(map(len, characters._tables.values())) <= 4
+    # a table larger than the cap is returned but not kept
+    characters._tables.clear()
+    table = characters._freudenthal_table((3, 1))
+    assert len(table) == 5 and table[(3, 1)] == 1
+    assert (3, 1) not in characters._tables
 
 
 def test_table_cache_under_threads(frequent_switches, monkeypatch):

@@ -192,6 +192,31 @@ def test_json_booleans_and_fractional_n_are_rejected(tmp_path):
         assert "n must be an integer" in err
 
 
+def test_pair_fields_must_be_json_arrays(tmp_path):
+    # a string iterates as its characters, so "10" once read as v = [1, 0]
+    # and a verified answer came out; an object read as its keys
+    zero = [[0, 0], [0, 0]]
+    cases = [
+        ({"n": 1, "v": "10", "x": ["00", "00"]}, "v"),
+        ({"n": 1, "v": {"a": 1, "b": 0}, "x": zero}, "v"),
+        ({"n": 1, "v": [1, 0], "x": ["00", "00"]}, "x"),
+        ({"n": 1, "v": [1, 0], "x": {"a": [0, 0], "b": [0, 0]}}, "x"),
+        ({"n": 1, "v": [1, 0], "x": zero, "omega": [[0, 1], "ab"]}, "omega"),
+        ({"n": 1, "v": [1, 0], "x": zero, "omega": {"a": 1}}, "omega"),
+    ]
+    path = tmp_path / "pair.json"
+    for doc, field in cases:
+        path.write_text(json.dumps(doc))
+        for command in ("orbit-identify", "adapted"):
+            code, out, err = invoke(command, "--file", str(path))
+            assert code == 1 and out == "", (doc, command)
+            assert err.startswith(f"error: {field} must be a JSON array")
+            assert err.count("\n") == 1
+    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": zero}))
+    assert invoke_json("orbit-identify", "--file", str(path)) == {
+        "mu": [1], "nu": []}
+
+
 def test_rank_cap_names_knob():
     code, _, err = invoke("poset", "--n", "99")
     assert code == 1

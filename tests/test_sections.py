@@ -235,20 +235,32 @@ def test_dominant_weights_of_degree():
             assert sum(mu) == k
 
 
-def _values_and_peaks(grid):
-    """Both section routes and the weight multiplicity at each cell, from
-    cold memos, with the largest Kostant memo and the largest Freudenthal
-    total seen after any cell."""
+def _held():
+    """Entries held by all memos together: every Kostant memo, and every
+    Freudenthal table counted by its length."""
+    return (sum(len(c.memo) for c in kostant._registry.values())
+            + sum(map(len, characters._tables.values())))
+
+
+def _cold_memos():
     for counter in kostant._registry.values():
         counter.memo.clear()
     characters._tables.clear()
-    values, memo, tables = [], 0, 0
+
+
+def _values_and_peaks(grid):
+    """Both section routes and the weight multiplicity at each cell, from
+    cold memos, with the largest Kostant memo, the largest Freudenthal
+    total and the largest total of all memos seen after any cell."""
+    _cold_memos()
+    values, memo, tables, held = [], 0, 0, 0
     for mu, lam in grid:
         values.append((h0_mult(mu, lam), h0_mult_subsets(mu, lam),
                        weight_mult(mu, lam)))
         memo = max([memo] + [len(c.memo) for c in kostant._registry.values()])
         tables = max(tables, sum(map(len, characters._tables.values())))
-    return values, memo, tables
+        held = max(held, _held())
+    return values, memo, tables, held
 
 
 def test_memo_cap_bounds_every_memo_and_keeps_the_values(monkeypatch):
@@ -256,10 +268,79 @@ def test_memo_cap_bounds_every_memo_and_keeps_the_values(monkeypatch):
             for mu in dominant_weights_of_degree(n, k)
             for lam in dominant_weights_of_degree(n, 3 - k)]
     monkeypatch.setattr(config, "memo_cap", Config().cache_entries)
-    expected, memo, tables = _values_and_peaks(grid)
+    expected, memo, tables, _ = _values_and_peaks(grid)
     # both memos outgrow 8 entries at the default cap, so cap 8 must evict
     assert memo > 8 and tables > 8
     monkeypatch.setattr(config, "memo_cap", 8)
-    got, memo, tables = _values_and_peaks(grid)
-    assert memo <= 8 and tables <= 8
+    got, _, _, held = _values_and_peaks(grid)
+    # the cap bounds all memos together, not each one (25 when it did)
+    assert held <= 8
     assert got == expected
+
+
+def test_memo_cap_bounds_all_ranks_and_kinds_together(monkeypatch):
+    # one process that counts at ranks 1-7 of both kinds and builds
+    # Freudenthal tables: 14 Kostant memos and the tables under one cap,
+    # where a cap per memo left 3,892 entries held at cap 1,024
+    ops = [(f, ((3,) + (0,) * (n - 1),)) for n in range(1, 8)
+           for f in (kostant_p, kostant_p_exotic)]
+    ops += [(characters.weight_mult_oracle, (mu, (0,) * len(mu)))
+            for mu in ((2, 2), (3, 1, 0), (2, 1, 1), (2, 2, 0, 0))]
+
+    def run():
+        _cold_memos()
+        values, held = [], 0
+        for f, args in ops:
+            values.append(f(*args))
+            held = max(held, _held())
+        return values, held
+
+    monkeypatch.setattr(config, "memo_cap", Config().cache_entries)
+    expected, held = run()
+    assert held > 1024
+    monkeypatch.setattr(config, "memo_cap", 1024)
+    got, held = run()
+    assert held <= 1024
+    assert got == expected
+
+
+def test_shared_memo_budget_under_threads(frequent_switches, monkeypatch):
+    # a store by either module now clears the other's memo too, also while
+    # another thread is inside a DP or a table; no answer may change
+    from concurrent.futures import ThreadPoolExecutor
+
+    queries = [(f, mu, lam) for n in (2, 3) for k in range(5)
+               for mu in dominant_weights_of_degree(n, k)
+               for j in range(k + 1)
+               for lam in dominant_weights_of_degree(n, j)
+               for f in (weight_mult, characters.weight_mult_oracle,
+                         h0_mult)]
+    expected = [f(mu, lam) for f, mu, lam in queries]
+    monkeypatch.setattr(config, "memo_cap", 8)
+    _cold_memos()
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        for _ in range(3):
+            got = pool.map(lambda q: q[0](q[1], q[2]), queries, timeout=60)
+            assert list(got) == expected
+
+
+def test_store_recounts_a_memo_cleared_by_hand(monkeypatch):
+    monkeypatch.setattr(config, "_memos", [])
+    monkeypatch.setattr(config, "_held", 0)
+    monkeypatch.setattr(config, "memo_cap", 4)
+    flat, nested = config.new_memo(), config.new_memo(nested=True)
+    for k in range(3):
+        assert config.store(flat, k, -k) == -k
+    flat.clear()
+    # the count reads 5 with this table, the memos hold 2: nothing clears
+    assert config.store(nested, "t", {1: 1, 2: 2}, 2) == {1: 1, 2: 2}
+    config.store(flat, 0, 0)
+    config.store(flat, 1, -1)
+    assert flat == {0: 0, 1: -1} and nested == {"t": {1: 1, 2: 2}}
+    # a fifth entry would pass the cap, so every memo clears
+    config.store(flat, 2, -2)
+    assert flat == {2: -2} and nested == {}
+    # a table larger than the cap is returned, not kept, and clears nothing
+    big = dict.fromkeys(range(5), 1)
+    assert config.store(nested, "big", big, 5) is big
+    assert flat == {2: -2} and nested == {}
