@@ -90,10 +90,12 @@ def _load_pair(path: str, cfg: Config) -> orbits.ExoticPair:
     return orbits.pair_from_json(doc)
 
 
-def _bipartition_args(args) -> bp.Bipartition:
+def _bipartition_args(args, cfg: Config) -> bp.Bipartition:
     mu = _weight_arg(args["mu"], "mu")
     nu = _weight_arg(args["nu"], "nu")
-    return bp.bipartition(mu, nu)
+    b = bp.bipartition(mu, nu)
+    _check_rank(b.size, cfg)
+    return b
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -161,21 +163,18 @@ def _cmd_poset(args, cfg):
 
 
 def _cmd_phic(args, cfg):
-    b = _bipartition_args(args)
-    _check_rank(b.size, cfg)
+    b = _bipartition_args(args, cfg)
     return {"lambda": list(bp.phiC(b))}
 
 
 def _cmd_collapse(args, cfg):
-    b = _bipartition_args(args)
-    _check_rank(b.size, cfg)
+    b = _bipartition_args(args, cfg)
     out = bp.collapse(b)
     return {"mu": list(out.mu), "nu": list(out.nu)}
 
 
 def _cmd_filtration_dims(args, cfg):
-    b = _bipartition_args(args)
-    _check_rank(b.size, cfg)
+    b = _bipartition_args(args, cfg)
     profile = bp.filtration_dims(b)
     return {"dims": {str(a): d for a, d in sorted(profile.items(), reverse=True)}}
 
@@ -187,8 +186,7 @@ def _cmd_orbit_identify(args, cfg):
 
 
 def _cmd_representative(args, cfg):
-    b = _bipartition_args(args)
-    _check_rank(b.size, cfg)
+    b = _bipartition_args(args, cfg)
     return orbits.pair_to_json(orbits.representative(b))
 
 

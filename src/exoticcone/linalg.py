@@ -245,13 +245,9 @@ def int_kernel(rows, ncols: int) -> dict:
     return basis
 
 
-def nullspace(rows, ncols: int | None = None) -> list:
-    """Basis of {x : A x = 0}, the vector of each free column having 1
-    there, as Fractions; ``ncols`` is required when A has no rows."""
-    if ncols is None:
-        if not rows:
-            raise DomainError("nullspace of empty system needs ncols")
-        ncols = len(rows[0])
+def nullspace(rows, ncols: int) -> list:
+    """Basis of {x : A x = 0} for A with ncols columns, the vector of each
+    free column having 1 there, as Fractions."""
     return [
         [_ratio(x, v[free]) for x in v]
         for free, v in int_kernel(int_rows(rows), ncols).items()

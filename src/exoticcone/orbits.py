@@ -40,6 +40,7 @@ from functools import cached_property
 
 from . import linalg
 from .bipartitions import Bipartition, filtration_dims
+from .config import Config
 from .errors import (
     DomainError,
     FiltrationNotFound,
@@ -80,17 +81,19 @@ from .records import Record
 
 
 class SymplecticSpace(Record):
-    """2n-dimensional space with an antisymmetric invertible Gram matrix."""
+    """2n-dimensional space with an antisymmetric invertible Gram matrix.
+    The entries may be ints, Fractions or "p/q" strings; they are stored
+    as a tuple of tuples, an integral entry as an int."""
 
     n: int
     omega: tuple
 
     def __post_init__(self):
         d = 2 * self.n
-        om = self.omega
-        if len(om) != d or any(len(row) != d for row in om):
+        m = to_mat(self.omega)
+        if len(m) != d or any(len(row) != d for row in m):
             raise DomainError(f"Gram matrix must be {d}x{d}")
-        m = [list(row) for row in om]
+        object.__setattr__(self, "omega", _freeze_mat(m))
         if not linalg.mat_eq(transpose(m), [[-x for x in row] for row in m]):
             raise DomainError("Gram matrix must be antisymmetric")
         if linalg.det(m) == 0:
@@ -122,24 +125,28 @@ def standard_form(n: int) -> SymplecticSpace:
     om = [[0] * d for _ in range(d)]
     for i in range(d):
         om[i][d - 1 - i] = 1 if i < n else -1
-    return SymplecticSpace(n=n, omega=_freeze_mat(om))
+    return SymplecticSpace(n=n, omega=om)
 
 
 class ExoticPair(Record):
     """Candidate point (v, x); the membership conditions are checked by
     in_exotic_cone, not by construction. The form is optional: orbit
-    classification is independent of it."""
+    classification is independent of it. Entries are normalised as in
+    ``SymplecticSpace``, so a pair built from lists is hashable."""
 
     v: tuple
     x: tuple
     space: SymplecticSpace | None = None
 
     def __post_init__(self):
-        d = len(self.v)
+        v, x = tuple(to_vec(self.v)), to_mat(self.x)
+        d = len(v)
         if d % 2:
             raise DomainError("vector length must be even")
-        if len(self.x) != d or any(len(row) != d for row in self.x):
+        if len(x) != d or any(len(row) != d for row in x):
             raise DomainError("endomorphism must be square of matching size")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "x", _freeze_mat(x))
         if self.space is not None and self.space.dim != d:
             raise DomainError("form dimension mismatch")
 
@@ -191,8 +198,7 @@ class ExoticPair(Record):
         return self.space is None or form_compatible(self._int_x, self.space)
 
 
-def make_pair(v, x, space: SymplecticSpace | None = None) -> ExoticPair:
-    return ExoticPair(v=tuple(to_vec(v)), x=_freeze_mat(to_mat(x)), space=space)
+make_pair = ExoticPair
 
 
 def form_compatible(x, space: SymplecticSpace) -> bool:
@@ -240,9 +246,7 @@ def solve_symplectic_form(x) -> tuple:
                         row[k] += sign * w
             if any(row):
                 rows.append(row)
-    basis = (
-        nullspace(rows, len(pairs)) if rows else identity(len(pairs))
-    )
+    basis = nullspace(rows, len(pairs))
     if not basis and d:
         # the zero space has no nonzero form, but its empty form is
         # invertible, and the scan below returns it
@@ -476,8 +480,8 @@ def representative(b: Bipartition) -> ExoticPair:
         if height > 0:
             v[e0 + height - 1] = 1
         offset += 2 * m
-    space = SymplecticSpace(n=b.size, omega=_freeze_mat(om)) if d else None
-    pair = ExoticPair(v=tuple(v), x=_freeze_mat(x), space=space)
+    space = SymplecticSpace(n=b.size, omega=om) if d else None
+    pair = ExoticPair(v=v, x=x, space=space)
     if space is not None and not in_exotic_cone(pair):
         raise SelfCheckFailed(f"constructed pair violates membership for {b}")
     if orbit_of(pair) != b:
@@ -521,6 +525,11 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
 
     def __post_init__(self):
         levels = tuple((a, span(sub)) for a, sub in self.subspaces)
+        indices = [a for a, _ in levels]
+        if (not indices or any(type(a) is not int for a in indices)
+                or indices != [*range(indices[0], indices[-1] + 1)]):
+            raise DomainError("filtration levels must be a nonempty run of "
+                              f"consecutive increasing int indices: {indices}")
         object.__setattr__(self, "subspaces", levels)
         object.__setattr__(self, "_by_index", dict(levels))
 
@@ -650,7 +659,8 @@ def _assemble(pair, xi, b, profile, lattice, perps):
     return found
 
 
-def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
+def adapted_filtration(pair: ExoticPair,
+                       closure_depth: int = Config.closure_depth
                        ) -> IsotropicFiltration:
     """The unique filtration adapted to (v, x), found by searching the
     subspace lattice generated from natural seeds under sums,
@@ -741,16 +751,15 @@ def adapted_filtration(pair: ExoticPair, closure_depth: int = 4
     )
 
 
-def random_symplectic(space: SymplecticSpace, seed: int,
-                      count: int = 5) -> tuple:
-    """Deterministic product of symplectic transvections
+def random_symplectic(space: SymplecticSpace, seed: int) -> tuple:
+    """Deterministic product of five symplectic transvections
     w -> w + <w, u> u with small random integer u; the defining identity
     g^T omega g = omega is asserted before returning."""
     rng = random.Random(seed)
     d = space.dim
     om = space.omega_rows()
     g = identity(d)
-    for _ in range(count):
+    for _ in range(5):
         u = [rng.randint(-2, 2) for _ in range(d)]
         om_u = mat_vec(om, u)
         trans = [
@@ -768,8 +777,8 @@ def conjugate_pair(pair: ExoticPair, g) -> ExoticPair:
     gm = to_mat(g)
     g_inv = linalg.inverse(gm)
     return ExoticPair(
-        v=tuple(to_vec(mat_vec(gm, pair.v_vec()))),
-        x=_freeze_mat(to_mat(mat_mul(gm, mat_mul(pair.x_rows(), g_inv)))),
+        v=mat_vec(gm, pair.v_vec()),
+        x=mat_mul(gm, mat_mul(pair.x_rows(), g_inv)),
         space=pair.space,
     )
 
@@ -802,17 +811,16 @@ def pair_from_json(obj) -> ExoticPair:
         n = obj["n"]
         if type(n) is not int:
             raise DomainError(f"n must be an integer: {n!r}")
-        v = to_vec(_json_array(obj["v"], "v"))
-        x = to_mat(_json_array(obj["x"], "x", rows=True))
+        v = _json_array(obj["v"], "v")
+        x = _json_array(obj["x"], "x", rows=True)
     except KeyError as exc:
         raise DomainError(f"pair document is missing {exc}") from exc
     if len(v) != 2 * n or len(x) != 2 * n:
         raise DomainError(f"v and x must have dimension 2n = {2 * n}")
-    space = None
-    if obj.get("omega") is not None:
-        omega = to_mat(_json_array(obj["omega"], "omega", rows=True))
-        space = SymplecticSpace(n=n, omega=_freeze_mat(omega))
-    return ExoticPair(v=tuple(v), x=_freeze_mat(x), space=space)
+    omega = obj.get("omega")
+    space = None if omega is None else SymplecticSpace(
+        n=n, omega=_json_array(omega, "omega", rows=True))
+    return ExoticPair(v=v, x=x, space=space)
 
 
 def pair_to_json(pair: ExoticPair) -> dict:

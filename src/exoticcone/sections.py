@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .characters import _add, weight_mult_oracle
+from .characters import _add, dominant_cone_weights, weight_mult_oracle
 from .errors import InternalInconsistency
 from .kostant import counter
 from .rootdata import (
@@ -63,22 +63,13 @@ def h0_mult_subsets(mu, lam) -> int:
 
 
 def dominant_weights_of_degree(n: int, k: int) -> list:
-    """Dominant weights of rank n with coordinate sum exactly k."""
-    out = []
-
-    def descend(prefix, remaining):
-        if len(prefix) == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        top = min(prefix[-1] if prefix else remaining, remaining)
-        slots_left = n - len(prefix)
-        for c in range(top, -1, -1):
-            if c * slots_left >= remaining:
-                descend(prefix + [c], remaining - c)
-
-    descend([], k)
-    return out
+    """Dominant weights of rank n with coordinate sum exactly k, in
+    descending lexicographic order. A dominant weight of degree at most k
+    has every prefix sum at most k, so it lies under k e_1."""
+    if k < 0:
+        return []
+    return [mu for mu in dominant_cone_weights(((k,) + (0,) * n)[:n])
+            if sum(mu) == k]
 
 
 def h0_decompose(lam, degree_bound: int) -> dict:

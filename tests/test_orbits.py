@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -101,6 +102,23 @@ def test_exotic_pair_validation():
         make_pair([1, 0], [[0] * 2] * 3)
     with pytest.raises(DomainError):
         make_pair([1, 0, 0, 0], [[0] * 4] * 4, standard_form(1))
+    # pairs and forms normalise their own entries when built: an integral
+    # entry is stored as an int, lists as tuples, and a bad entry is refused
+    assert make_pair is ExoticPair
+    pair = ExoticPair([Fraction(2, 1), "1/2"], [[0, Fraction(4, 2)], [0, 0]])
+    assert pair.v == (2, Fraction(1, 2)) and type(pair.v[0]) is int
+    assert pair.x == ((0, 2), (0, 0)) and type(pair.x[0][1]) is int
+    assert hash(pair) == hash(ExoticPair((2, "1/2"), ((0, 2), (0, 0))))
+    space = SymplecticSpace(1, [[0, Fraction(2, 1)], ["-2", 0]])
+    assert space.omega == ((0, 2), (-2, 0)) and type(space.omega[0][1]) is int
+    hash(space)
+    for bad in (True, 0.5, "a"):
+        with pytest.raises(DomainError):
+            ExoticPair([bad, 0], [[0, 0], [0, 0]])
+        with pytest.raises(DomainError):
+            ExoticPair([0, 0], [[0, bad], [0, 0]])
+        with pytest.raises(DomainError):
+            SymplecticSpace(1, [[0, 1], [bad, 0]])
 
 
 def test_centralizer_dimensions():
@@ -396,6 +414,21 @@ def test_verify_adapted_rejects_perturbations(sample_pair_with_form):
     assert not verify_adapted(filt, moved, b)
 
 
+def test_filtration_refuses_levels_that_are_not_a_run():
+    """On rep(1 | ∅), levels that are missing, skip index 0, repeat, run
+    backwards or are not indexed by ints are refused when the filtration
+    is built, with DomainError: verification reads the levels over a
+    range of ints."""
+    rep = representative(bipartition((1,), ()))
+    levels = adapted_filtration(rep).subspaces
+    assert [a for a, _ in levels] == [-1, 0, 1, 2]
+    halves = tuple((Fraction(a, 2), sub) for a, sub in levels)
+    for broken in ((), levels[:1] + levels[2:], levels[:2] + levels[1:2],
+                   levels[::-1], halves):
+        with pytest.raises(DomainError, match="consecutive"):
+            IsotropicFiltration(space=rep.space, subspaces=broken)
+
+
 def test_verify_adapted_accepts_any_spanning_rows():
     b = bipartition((1,), (1,))
     pair = representative(b)
@@ -487,24 +520,40 @@ def _closure_outcome(search, pair, depth):
 def test_closure_rounds_match_the_all_pairs_oracle():
     """Skipping frontier pairs already used and comparable pairs changes
     no round's lattice: at every closure_depth the library returns the
-    oracle's filtration, or both raise FiltrationNotFound."""
-    pairs = []
+    oracle's filtration, or both raise FiltrationNotFound.
+
+    The same outcomes give the closure depth each orbit needs, the least
+    depth that finds its filtration. Every representative up to n = 4
+    needs at most 2, and each conjugate needs what its representative
+    needs, since the search commutes with the isometries."""
+    outcomes = set()
+    by_rank = {}
     for n in range(1, 5):
         for b in enumerate_Q(n):
             rep = representative(b)
-            pairs.append(rep)
+            pairs = [rep]
             if n <= 3:
                 pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
                           for s in range(3)]
-    outcomes = set()
-    for pair in pairs:
-        for depth in range(5):
-            want = _closure_outcome(oracles.adapted_filtration, pair, depth)
-            got = _closure_outcome(adapted_filtration, pair, depth)
-            assert got == want, (pair._orbit, depth)
-            outcomes.add((want is FiltrationNotFound, depth))
+            needed = []
+            for pair in pairs:
+                found = []
+                for depth in range(5):
+                    want = _closure_outcome(oracles.adapted_filtration, pair,
+                                            depth)
+                    got = _closure_outcome(adapted_filtration, pair, depth)
+                    assert got == want, (b, depth)
+                    outcomes.add((want is FiltrationNotFound, depth))
+                    found.append(want is not FiltrationNotFound)
+                needed.append(found.index(True))
+            assert needed == needed[:1] * len(needed), (b, needed)
+            by_rank.setdefault(n, collections.Counter())[needed[0]] += 1
     # both outcomes occur, the refusal at depths 0 and 1
     assert {(True, 0), (True, 1), (False, 0), (False, 4)} <= outcomes
+    # the representatives needing closure depth 0, 1 and 2, at each n
+    assert {n: [count[depth] for depth in range(3)]
+            for n, count in by_rank.items()} == {
+        1: [2, 0, 0], 2: [5, 0, 0], 3: [8, 2, 0], 4: [14, 4, 2]}
 
 
 def test_pair_is_classified_once(monkeypatch):

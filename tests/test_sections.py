@@ -233,6 +233,15 @@ def test_dominant_weights_of_degree():
     for k in range(5):
         for mu in dominant_weights_of_degree(2, k):
             assert sum(mu) == k
+    # the order is pinned too: the benchmark's seeded pools read the list
+    # in order, descending lexicographic
+    for n in range(7):
+        for k in range(-2, 11):
+            brute = sorted(
+                (mu for mu in itertools.product(range(max(k, 0) + 1), repeat=n)
+                 if sum(mu) == k and list(mu) == sorted(mu, reverse=True)),
+                reverse=True)
+            assert dominant_weights_of_degree(n, k) == brute, (n, k)
 
 
 def _held():
