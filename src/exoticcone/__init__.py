@@ -20,10 +20,8 @@ from .config import Config, load_config
 from .errors import (
     CapExceeded,
     DomainError,
-    FiltrationNotFound,
     InternalInconsistency,
     NotDoubled,
-    NotUnique,
     SelfCheckFailed,
 )
 

@@ -200,7 +200,7 @@ def _cmd_adapted(args, cfg):
             space=orbits.SymplecticSpace(n=pair.n, omega=omega),
         )
         solved = True
-    filt = orbits.adapted_filtration(pair, closure_depth=cfg.closure_depth)
+    filt = orbits.adapted_filtration(pair)
     b = filt.orbit
     verified = orbits.verify_adapted(filt, pair, b)
     if not verified:

@@ -23,16 +23,13 @@ _ENTRY_BYTES = 128
 class Config(Record):
     rank_cap: int = 8
     degree_cap: int = 12
-    closure_depth: int = 4
     cache_bytes: int = 1 << 26
 
     def __post_init__(self):
         for name in self._fields:
             value = getattr(self, name)
-            # closure depth 0 searches the seeds alone, with no round
-            low = 0 if name == "closure_depth" else 1
-            if type(value) is not int or value < low:
-                raise DomainError(f"config {name} must be an int >= {low}")
+            if type(value) is not int or value < 1:
+                raise DomainError(f"config {name} must be an int >= 1")
 
     @property
     def cache_entries(self) -> int:

@@ -28,13 +28,3 @@ class InternalInconsistency(RuntimeError):
 class SelfCheckFailed(InternalInconsistency):
     """A constructed object failed its independent verification."""
 
-
-class NotUnique(InternalInconsistency):
-    """Several objects passed a check that admits exactly one solution."""
-
-
-class FiltrationNotFound(CapExceeded):
-    """Subspace search exhausted without a verified filtration."""
-
-    def __init__(self, message: str):
-        super().__init__("closure_depth", message)

@@ -4,9 +4,10 @@ import functools
 from fractions import Fraction
 
 from exoticcone.bipartitions import Bipartition, enumerate_Q, filtration_dims
-from exoticcone.errors import DomainError, FiltrationNotFound, NotUnique
+from exoticcone.errors import DomainError
 from exoticcone.linalg import (
     Mat,
+    contains,
     frac,
     int_rows,
     int_span,
@@ -16,11 +17,13 @@ from exoticcone.linalg import (
     nonneg_combination,
     sub_add,
     sub_intersect as lib_sub_intersect,
+    sub_leq,
 )
 from exoticcone.orbits import (
-    _assemble,
+    IsotropicFiltration,
+    _maps_into,
     _perp_via,
-    _seed_subspaces,
+    _verify,
     centralizer_basis,
     de_double,
     exv_module as lib_exv_module,
@@ -362,15 +365,85 @@ def orbit_of(pair) -> Bipartition:
                        de_double(jordan_type(x, quotient_by=exv)))
 
 
-# -- The closure search over all ordered pairs: the reference for the
-#    closure rounds of orbits.adapted_filtration ------------------------------
+# -- The subspace-lattice search: the reference for the closed form of
+#    orbits.adapted_filtration ------------------------------------------------
 
-def adapted_filtration(pair, closure_depth):
-    """``orbits.adapted_filtration`` with each closure round eliminating
-    the sum and intersection of every (new subspace, lattice member) pair:
-    a pair of two new subspaces in both orders, and comparable pairs too.
-    The seeds, the assembly and the verification are the library's; only
-    the join/meet loop differs. The pair must carry a compatible form."""
+def _seed_subspaces(xi, v, exv, kernels, images) -> set:
+    """The kernels and images of the powers of x, E^x v, and, for every
+    k, the line through x^k v and the x-cyclic span{x^j v : j >= k}.
+
+    In the orbit (m | ∅) the level V_{>= 1} is the x-cyclic span of v;
+    from the lines alone the search needs ceil(log2 m) rounds of pairwise
+    sums to build it."""
+    seeds = {exv, *kernels, *images}
+    chain = []
+    u = int_rows([v])[0]
+    while any(u):
+        chain.append(u)
+        u = mat_vec(xi, u)
+    for k in range(len(chain)):
+        seeds.add(int_span([chain[k]]))
+        seeds.add(int_span(chain[k:]))
+    return seeds
+
+
+def _assemble(pair, xi, b, profile, lattice, perps) -> list:
+    """All verified filtrations whose positive levels come from the
+    lattice; negative levels are forced as perps. Every perp, in the
+    search and in the verification, is read through perps."""
+    hi = profile.levels[-1][0]
+    by_level = {}
+    for a in range(1, hi + 1):
+        opts = [sub for sub in lattice
+                if len(sub) == profile.dim(a)
+                and sub_leq(sub, _perp_via(perps, sub, pair.space))
+                and (a > 1 or contains(sub, pair.v_vec()))]
+        if not opts:
+            return []
+        by_level[a] = opts
+
+    found = []
+
+    def descend(a, chosen):
+        if a == 0:
+            levels = dict(chosen)
+            for idx in range(1 - hi, 1):
+                levels[idx] = _perp_via(perps, chosen[1 - idx], pair.space)
+            filt = IsotropicFiltration(space=pair.space,
+                                       subspaces=tuple(sorted(levels.items())),
+                                       orbit=b)
+            if _verify(filt, pair, b, perps):
+                found.append(filt)
+            return
+        for sub in by_level[a]:
+            if not sub_leq(chosen.get(a + 1, ()), sub):
+                continue
+            target = chosen.get(a + 2, () if a + 2 > hi else None)
+            if target is not None and not _maps_into(xi, sub, target):
+                continue
+            chosen[a] = sub
+            descend(a - 1, chosen)
+            del chosen[a]
+
+    descend(hi, {})
+    return found
+
+
+def adapted_filtration(pair, closure_depth=4):
+    """The filtration adapted to (v, x), found by searching the subspace
+    lattice generated from the seeds (``_seed_subspaces``) under sums,
+    intersections, perps, images and preimages, for up to closure_depth
+    rounds. The pair must carry a compatible form.
+
+    Each round adds the perp, image and preimage of every new subspace,
+    and the sum and intersection of every incomparable pair of a new
+    subspace and a lattice member. Every seed and every operation commutes
+    with the isometries, so the depth a pair needs depends on its orbit
+    only; depth 2 suffices for every orbit up to n = 5. The search stops
+    at the first round that assembles a verified filtration, asserts that
+    it is the only one, and raises LookupError when the rounds run out.
+    Of the library's filtration code it uses only the verification
+    ``_verify`` and the perps dict of ``_perp_via``."""
     xi = pair._int_x
     b = pair._orbit
     profile = filtration_dims(b)
@@ -380,10 +453,9 @@ def adapted_filtration(pair, closure_depth):
     perps = {}
     for depth in range(closure_depth + 1):
         matches = _assemble(pair, xi, b, profile, lattice, perps)
-        if len(matches) == 1:
+        assert len(matches) <= 1, f"{len(matches)} adapted filtrations for {b}"
+        if matches:
             return matches[0]
-        if len(matches) > 1:
-            raise NotUnique(f"{len(matches)} adapted filtrations for {b}")
         if depth == closure_depth:
             break
         fresh = set()
@@ -391,8 +463,12 @@ def adapted_filtration(pair, closure_depth):
             fresh.add(_perp_via(perps, sub, pair.space))
             fresh.add(map_image(xi, sub))
             fresh.add(map_preimage(xi, sub, d))
+        done = set()
         for a in frontier:
+            done.add(a)
             for bsub in lattice:
+                if bsub in done or sub_leq(a, bsub) or sub_leq(bsub, a):
+                    continue
                 fresh.add(sub_add(a, bsub))
                 fresh.add(lib_sub_intersect(a, bsub, d))
         fresh -= lattice
@@ -400,4 +476,4 @@ def adapted_filtration(pair, closure_depth):
             break
         lattice |= fresh
         frontier = fresh
-    raise FiltrationNotFound(f"no adapted filtration within {closure_depth}")
+    raise LookupError(f"no adapted filtration within {closure_depth} rounds")

@@ -25,9 +25,11 @@ EDGE_BIPARTITIONS = [("[6,1]", "[1]"), ("[8]", "[]"),
                      ("[]", "[1,1,1,1,1,1,1,1]")]
 
 # rep(5,1,1 | 1) and rep(6,1 | 1) conjugated by random_symplectic(space, 7):
-# dense n = 8 pairs, paths relative to the root of the repository
+# dense n = 8 pairs, paths relative to the root of the repository; the
+# second again without its form, which adapted then solves for
 DENSE_PAIR = "tests/data/pair_n8_conj.json"
 DENSE_PAIR_61 = "tests/data/pair_n8_conj_61.json"
+DENSE_PAIR_61_NO_FORM = "tests/data/pair_n8_conj_61_no_form.json"
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 ROWS = [
@@ -41,8 +43,9 @@ ROWS = [
                         "-999997,999997]"),
     ("orbit-identify", "--file", DENSE_PAIR),
     ("adapted", "--file", DENSE_PAIR),
-    # adapted on this pair takes more than half the budget, so it is no row
     ("orbit-identify", "--file", DENSE_PAIR_61),
+    ("adapted", "--file", DENSE_PAIR_61),
+    ("adapted", "--file", DENSE_PAIR_61_NO_FORM),
 ]
 
 

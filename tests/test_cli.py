@@ -337,29 +337,6 @@ def test_adapted_solves_the_empty_form_of_the_rank_0_representative(
     assert given["subspaces"] == out["subspaces"]
 
 
-def test_adapted_depth_cap_names_knob(tmp_path):
-    doc = invoke_json("representative", "--mu", "[2,2]", "--nu", "[]")
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = invoke(
-        "--closure-depth", "1", "adapted", "--file", str(path)
-    )
-    assert code == 1
-    assert "closure_depth" in err
-    code, out, _ = invoke("adapted", "--file", str(path))
-    assert code == 0
-    assert json.loads(out)["verified"] is True
-
-
-def test_adapted_depth_zero_searches_the_seeds():
-    path = os.path.join(DATA, "pair_n5_conj.json")
-    doc = invoke_json("--closure-depth", "0", "adapted", "--file", path)
-    assert doc["verified"] is True
-    assert (doc["mu"], doc["nu"]) == ([5], [])
-    code, _, err = invoke("--closure-depth", "-1", "adapted", "--file", path)
-    assert code == 1 and "closure_depth" in err
-
-
 def test_n_flag_must_match_lengths():
     code, _, err = invoke("mult", "--n", "3", "--mu", "[1,0]",
                           "--lambda", "[0,0]")
@@ -397,30 +374,35 @@ def test_missing_pair_file(tmp_path):
 
 def test_config_file_and_env(tmp_path, monkeypatch):
     cfg = tmp_path / "knobs.cfg"
-    cfg.write_text("rank_cap = 9\n# comment\nclosure_depth = 5\n")
+    cfg.write_text("rank_cap = 9\n# comment\ndegree_cap = 5\n")
     monkeypatch.setenv(ENV_VAR, str(cfg))
     code, _, _ = invoke("poset", "--n", "9")
     assert code == 0
-    assert load_config().closure_depth == 5
+    assert load_config().degree_cap == 5
     # flags beat the file
     code, _, err = invoke("--rank-cap", "3", "poset", "--n", "9")
     assert code == 1 and "rank_cap" in err
     monkeypatch.delenv(ENV_VAR)
     code, _, _ = invoke("poset", "--n", "9")
     assert code == 1
-    # the sweep runs single-threaded; its old worker-count knob is gone
-    cfg.write_text("threads = 2\n")
-    code, out, err = invoke("--config", str(cfg), "poset", "--n", "2")
-    assert code == 1 and out == ""
-    assert "unknown key" in err
+    # the sweep runs single-threaded, and the adapted filtration needs no
+    # search, so their old worker-count and search-depth knobs are gone
+    for key in ("threads", "closure_depth"):
+        cfg.write_text(f"{key} = 2\n")
+        code, out, err = invoke("--config", str(cfg), "poset", "--n", "2")
+        assert code == 1 and out == ""
+        assert "unknown key" in err
 
 
 def test_config_validation(tmp_path):
     with pytest.raises(DomainError):
         Config(rank_cap=0)
-    with pytest.raises(DomainError):
-        Config(closure_depth=-1)
-    assert Config(closure_depth=0).closure_depth == 0
+    with pytest.raises(TypeError):
+        Config(closure_depth=4)
+    path = os.path.join(DATA, "pair_n5_conj.json")
+    code, out, err = invoke("--closure-depth", "0", "adapted", "--file", path)
+    assert code == 1 and out == ""
+    assert err == "error: unknown flag --closure-depth\n"
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense = 3\n")
     with pytest.raises(DomainError):
@@ -440,7 +422,7 @@ def test_config_validation(tmp_path):
 
 
 def test_config_rejects_booleans():
-    for name in ("rank_cap", "degree_cap", "closure_depth", "cache_bytes"):
+    for name in ("rank_cap", "degree_cap", "cache_bytes"):
         with pytest.raises(DomainError, match=name):
             Config(**{name: True})
         with pytest.raises(DomainError, match=name):

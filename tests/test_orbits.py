@@ -1,4 +1,3 @@
-import collections
 import json
 import os
 import random
@@ -10,8 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 
-from exoticcone.bipartitions import Bipartition, bipartition, enumerate_Q
-from exoticcone.errors import DomainError, FiltrationNotFound, NotDoubled
+from exoticcone.bipartitions import Bipartition, bipartition, enumerate_Q, phiC
+from exoticcone.errors import DomainError, NotDoubled
 from exoticcone.linalg import (
     det,
     inverse,
@@ -469,18 +468,6 @@ def test_adapted_filtration_all_orbits_rank3():
         assert verify_adapted(filt, pair, b)
 
 
-def test_adapted_filtration_reports_exhausted_depth():
-    from exoticcone.errors import FiltrationNotFound
-
-    pair = representative(bipartition((2,), (1,)))
-    with pytest.raises(FiltrationNotFound) as info:
-        adapted_filtration(pair, closure_depth=0)
-    assert info.value.knob == "closure_depth"
-    # the same search succeeds once the lattice may grow
-    filt = adapted_filtration(pair, closure_depth=4)
-    assert verify_adapted(filt, pair, bipartition((2,), (1,)))
-
-
 def test_adapted_filtration_conjugation_equivariant():
     """g carries each level of the filtration of (v, x) onto the same
     level of the filtration of (g v, g x g^-1)."""
@@ -501,59 +488,59 @@ def test_adapted_filtration_conjugation_equivariant():
 
 def test_adapted_filtration_conjugate_needs_no_closure_round():
     # rep(5 | ∅) conjugated by random_symplectic(space, 7): level V_{>=1}
-    # is the x-cyclic span of v, a seed, so depth 0 suffices
+    # is the x-cyclic span of v, found without any search
     pair = load_pair("pair_n5_conj.json")
-    filt = adapted_filtration(pair, closure_depth=0)
+    filt = adapted_filtration(pair)
     assert filt.orbit == bipartition((5,), ())
     assert verify_adapted(filt, pair, filt.orbit)
     x, v = pair.x_rows(), pair.v_vec()
     assert filt.level(1) == span([mat_vec(mat_pow(x, j), v) for j in range(5)])
 
 
-def _closure_outcome(search, pair, depth):
-    try:
-        return search(pair, closure_depth=depth)
-    except FiltrationNotFound:
-        return FiltrationNotFound
+def test_adapted_filtration_matches_the_search_oracle():
+    """The closed form equals the filtration that the subspace-lattice
+    search of the oracles finds, on every orbit up to n = 5 and on 20
+    conjugates of each orbit up to n = 3: 413 pairs."""
+    count = 0
+    for n in range(1, 6):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            pairs = [rep]
+            if n <= 3:
+                pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
+                          for s in range(20)]
+            for pair in pairs:
+                got = adapted_filtration(pair)
+                assert got == oracles.adapted_filtration(pair), (b, pair)
+                assert got.orbit == b
+                count += 1
+    assert count == 413
 
 
-def test_closure_rounds_match_the_all_pairs_oracle():
-    """Skipping frontier pairs already used and comparable pairs changes
-    no round's lattice: at every closure_depth the library returns the
-    oracle's filtration, or both raise FiltrationNotFound.
+def _weight_map(pair):
+    """x + v omega(v, .), built from the pair's own entries."""
+    om = pair.space.omega_rows()
+    v = pair.v_vec()
+    row = [sum(v[i] * om[i][j] for i in range(pair.dim))
+           for j in range(pair.dim)]
+    return [[a + c * r for a, r in zip(xrow, row)]
+            for xrow, c in zip(pair.x_rows(), v)]
 
-    The same outcomes give the closure depth each orbit needs, the least
-    depth that finds its filtration. Every representative up to n = 4
-    needs at most 2, and each conjugate needs what its representative
-    needs, since the search commutes with the isometries."""
-    outcomes = set()
-    by_rank = {}
-    for n in range(1, 5):
+
+def test_weight_map_has_the_jordan_type_of_the_collapse():
+    """N = x + v omega(v, .) has Jordan type phiC(b) (Achar-Henderson,
+    Adv. Math. 219, 2008), which is why the profile of the adapted
+    filtration reads its dimensions off phiC(b): on every representative
+    up to n = 6, and on 3 conjugates of each orbit up to n = 3."""
+    for n in range(1, 7):
         for b in enumerate_Q(n):
             rep = representative(b)
             pairs = [rep]
             if n <= 3:
                 pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
                           for s in range(3)]
-            needed = []
             for pair in pairs:
-                found = []
-                for depth in range(5):
-                    want = _closure_outcome(oracles.adapted_filtration, pair,
-                                            depth)
-                    got = _closure_outcome(adapted_filtration, pair, depth)
-                    assert got == want, (b, depth)
-                    outcomes.add((want is FiltrationNotFound, depth))
-                    found.append(want is not FiltrationNotFound)
-                needed.append(found.index(True))
-            assert needed == needed[:1] * len(needed), (b, needed)
-            by_rank.setdefault(n, collections.Counter())[needed[0]] += 1
-    # both outcomes occur, the refusal at depths 0 and 1
-    assert {(True, 0), (True, 1), (False, 0), (False, 4)} <= outcomes
-    # the representatives needing closure depth 0, 1 and 2, at each n
-    assert {n: [count[depth] for depth in range(3)]
-            for n, count in by_rank.items()} == {
-        1: [2, 0, 0], 2: [5, 0, 0], 3: [8, 2, 0], 4: [14, 4, 2]}
+                assert jordan_type(_weight_map(pair)) == phiC(b), b
 
 
 def test_pair_is_classified_once(monkeypatch):
@@ -562,9 +549,9 @@ def test_pair_is_classified_once(monkeypatch):
     calls = []
     power_spaces = orbits._power_spaces
 
-    def counted(xi):
+    def counted(xi, stop=None):
         calls.append(xi)
-        return power_spaces(xi)
+        return power_spaces(xi, stop)
 
     monkeypatch.setattr(orbits, "_power_spaces", counted)
     form_checks = []
@@ -580,7 +567,9 @@ def test_pair_is_classified_once(monkeypatch):
     filt = adapted_filtration(pair)
     assert verify_adapted(filt, pair, b)
     assert exv_module(pair) and in_exotic_cone(pair)
-    assert len(calls) == 1
+    # once on x; adapted_filtration's one call is on its map N
+    assert len(calls) == 2 and calls.count(pair._int_x) == 1
+    assert calls[1] != pair._int_x
     assert len(form_checks) == 1
     calls.clear()
     representative(bipartition((2, 1), (1,)))
@@ -602,17 +591,15 @@ def test_adapted_filtration_computes_each_perp_once(monkeypatch):
         return perp(sub, space)
 
     monkeypatch.setattr(orbits, "perp", counted)
-    # (2,1 | 1) needs two closure rounds, so the search assembles three
-    # times over a growing lattice
+    # the construction takes the perp of V_{>= a} for each a >= 1, and
+    # the verification asks for the perp of every level again; in
+    # (2,1 | 1) the levels 2 and 3 are equal, so three perps are computed
     b = bipartition((2, 1), (1,))
     rep = representative(b)
     pair = conjugate_pair(rep, random_symplectic(rep.space, 0))
-    with pytest.raises(FiltrationNotFound):
-        adapted_filtration(pair, closure_depth=1)
-    calls.clear()
     filt = adapted_filtration(pair)
-    assert calls
-    assert len(calls) == len(set(calls))
+    positive = {filt.level(a) for a in range(1, filt.range()[1] + 1)}
+    assert len(calls) == len(set(calls)) == len(positive) == 3
     assert verify_adapted(filt, pair, b)
 
 

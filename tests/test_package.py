@@ -16,16 +16,17 @@ EXECUTED = ("[n for n in {names!r} "
             ).format(names=SUBMODULES)
 
 # every name the package exported before its submodules became lazy, less
-# coroot_pairing, which moved to tests/oracles.py, and the twisted action
-# group, which was deleted
+# coroot_pairing, which moved to tests/oracles.py, the twisted action
+# group, which was deleted, and the two errors of the filtration search,
+# which the closed form replaced
 NAMES = {
     "bipartitions": "Bipartition bipartition closure_leq collapse emit_dot "
                     "enumerate_Q filtration_dims hasse is_C_distinguished "
                     "phiC phiC_hat",
     "characters": "all_weights weight_mult weight_mult_oracle weyl_dim",
     "config": "Config load_config",
-    "errors": "CapExceeded DomainError FiltrationNotFound "
-              "InternalInconsistency NotDoubled NotUnique SelfCheckFailed",
+    "errors": "CapExceeded DomainError InternalInconsistency NotDoubled "
+              "SelfCheckFailed",
     "kostant": "kostant_p kostant_p_exotic subset_identity_check",
     "orbits": "ExoticPair IsotropicFiltration SymplecticSpace "
               "adapted_filtration centralizer_basis de_double exv_module "

@@ -33,9 +33,8 @@ def _root_data_fields():
 
 # (class, its fields in order, a function giving fresh field values)
 RECORDS = [
-    (Config, ("rank_cap", "degree_cap", "closure_depth", "cache_bytes"),
-     lambda: {"rank_cap": 3, "degree_cap": 5, "closure_depth": 0,
-              "cache_bytes": 4096}),
+    (Config, ("rank_cap", "degree_cap", "cache_bytes"),
+     lambda: {"rank_cap": 3, "degree_cap": 5, "cache_bytes": 4096}),
     (SymplecticSpace, ("n", "omega"), lambda: {"n": 1, "omega": OMEGA}),
     (ExoticPair, ("v", "x", "space"),
      lambda: {"v": (1, 0), "x": ((0, 0), (0, 0)),
@@ -91,8 +90,7 @@ def test_filtration_equality_ignores_the_orbit():
 
 def test_config_defaults():
     cfg = Config()
-    assert (cfg.rank_cap, cfg.degree_cap, cfg.closure_depth,
-            cfg.cache_bytes) == (8, 12, 4, 1 << 26)
+    assert (cfg.rank_cap, cfg.degree_cap, cfg.cache_bytes) == (8, 12, 1 << 26)
     assert Config(5) == Config(rank_cap=5) != cfg
 
 
