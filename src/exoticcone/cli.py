@@ -200,11 +200,10 @@ def _cmd_adapted(args, cfg):
             space=orbits.SymplecticSpace(n=pair.n, omega=omega),
         )
         solved = True
+    # adapted_filtration verifies its result, or raises
+    # InternalInconsistency
     filt = orbits.adapted_filtration(pair)
     b = filt.orbit
-    verified = orbits.verify_adapted(filt, pair, b)
-    if not verified:
-        raise InternalInconsistency("returned filtration failed verification")
     out = {
         "mu": list(b.mu),
         "nu": list(b.nu),
@@ -213,7 +212,7 @@ def _cmd_adapted(args, cfg):
             str(a): orbits.mat_to_json(sub)
             for a, sub in filt.as_dict().items()
         },
-        "verified": verified,
+        "verified": True,
     }
     if solved:
         out["omega"] = orbits.mat_to_json(pair.space.omega)

@@ -332,9 +332,10 @@ def _in_span(echelon: Mat, v: Vec) -> bool:
     """Whether the int vector v lies in the span of the int rows of an
     echelon form, by fraction-free reduction against them."""
     for row in echelon:
-        lead = next((c for c, x in enumerate(row) if x), None)
-        if lead is not None and v[lead]:
-            p, f = row[lead], v[lead]
+        # the first nonzero entry, found at C speed; 0 for a zero row
+        p = next(filter(None, row), 0)
+        f = p and v[row.index(p)]
+        if f:
             v = [p * x - f * y for x, y in zip(v, row)]
     return not any(v)
 

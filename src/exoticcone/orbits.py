@@ -44,12 +44,15 @@ the enhanced nilpotent cone", Adv. Math. 219, 2008). So
 The result is checked against the profile of b, the perp duality, v in
 V_{>= 1} and x V_{>= a} in V_{>= a + 2} before it is returned; a failure
 raises InternalInconsistency, and since the adapted filtration is unique,
-a filtration that passes is the adapted one. The closed form was checked
-against a search of the subspace lattice generated by the kernels and
-images of the powers of x, E^x v and the x-cyclic spans of v (kept in the
-tests as the oracle) on every orbit up to n = 7 and on conjugates of each
-orbit up to n = 6, and it verifies on a dense conjugate of every orbit up
-to n = 8.
+a filtration that passes is the adapted one. The check computes no perp:
+as omega is nondegenerate, V_{>= 1 - a} = perp(V_{>= a}) holds exactly
+when omega(V_{>= a}, V_{>= 1 - a}) = 0 and the two dimensions add up to
+2n, and by antisymmetry the levels a >= 1 cover every pair. The closed
+form was checked against a search of the subspace lattice generated by
+the kernels and images of the powers of x, E^x v and the x-cyclic spans
+of v (kept in the tests as the oracle) on every orbit up to n = 7 and on
+conjugates of each orbit up to n = 6, and it verifies on a dense
+conjugate of every orbit up to n = 8.
 
 All arithmetic is exact: matrices carry ints and Fractions, ranks and
 Jordan types come from echelon forms, never from floating point.
@@ -60,6 +63,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from . import linalg
 from .bipartitions import Bipartition, filtration_dims
@@ -520,18 +524,6 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
     return int_span(int_kernel(rows, space.dim).values())
 
 
-def _perp_via(perps: dict, sub: Subspace, space: SymplecticSpace) -> Subspace:
-    """``perp`` of a canonical subspace, read through perps, the dict of
-    the perps already known within one ``adapted_filtration`` call. The
-    form is nondegenerate, so perp is an involution and each computed pair
-    is stored both ways."""
-    known = perps.get(sub)
-    if known is None:
-        known = perps[sub] = perp(sub, space)
-        perps[known] = sub
-    return known
-
-
 class IsotropicFiltration(Record, uncompared=("orbit",)):
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
     saturated range; outside it the chain is the full space or zero.
@@ -572,16 +564,21 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
 def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
                    b: Bipartition) -> bool:
     """Check the filtration against the profile of b and the pair:
-    nesting, perp duality, prescribed dimensions, v in V_{>= 1}, and
-    x V_{>= a} inside V_{>= a+2}."""
+    nesting, prescribed dimensions, perp duality, v in V_{>= 1}, and
+    x V_{>= a} inside V_{>= a+2}.
+
+    Perp duality, V_{>= 1-a} = perp(V_{>= a}), is checked without a perp:
+    omega(V_{>= a}, V_{>= 1-a}) = 0 for a >= 1, with the two dimensions
+    adding up to 2n. The form is nondegenerate, so V_{>= 1-a} lies in
+    perp(V_{>= a}) and has its dimension, which makes the two equal; and
+    omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
-    return _verify(filt, pair, b, {})
+    return _verify(filt, pair, b)
 
 
-def _verify(filt, pair, b, perps) -> bool:
-    """``verify_adapted``, with the perps read through the dict perps
-    (see ``_perp_via``)."""
+def _verify(filt, pair, b) -> bool:
+    """``verify_adapted`` for a pair known to carry a form."""
     profile = filtration_dims(b)
     lo, hi = profile.levels[0][0], profile.levels[-1][0]
     flo, fhi = filt.range()
@@ -593,10 +590,17 @@ def _verify(filt, pair, b, perps) -> bool:
             return False
         if not sub_leq(filt.level(a), filt.level(a - 1)):
             return False
-        if _perp_via(perps, filt.level(a), pair.space) != filt.level(1 - a):
-            return False
         if not _maps_into(xi, filt.level(a), filt.level(a + 2)):
             return False
+    om = pair.space.int_omega
+    for a in range(1, hi + 1):
+        dual = filt.level(1 - a)
+        if sub_dim(filt.level(a)) + sub_dim(dual) != pair.dim:
+            return False
+        for u in filt.level(a):
+            w = mat_vec(om, u)
+            if any(sum(map(mul, w, y)) for y in dual):
+                return False
     if not contains(filt.level(1), pair.v_vec()):
         return False
     return True
@@ -608,10 +612,9 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     and checked by ``_verify`` before it is returned.
 
     The powers of x, E^x v and the orbit come from the pair's cache, so a
-    pair that ``orbit_of`` has classified is not classified again. Within
-    the call a dict holds every perp computed so far; the construction and
-    its verification both read through it, so each subspace's perp is
-    computed at most once per call. A filtration that fails the check, or
+    pair that ``orbit_of`` has classified is not classified again. The
+    construction takes one perp for each level a >= 1, and the check takes
+    none (see ``verify_adapted``). A filtration that fails the check, or
     an N whose powers stall before they vanish, raises
     InternalInconsistency: both are ruled out by the theory.
     """
@@ -638,16 +641,15 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
             f"N is not nilpotent for orbit {b}") from exc
     levels = {1: int_span([w for k in range(1, len(images))
                            for w in sub_intersect(kernels[k], images[k], d)])}
-    perps = {}
-    levels[0] = _perp_via(perps, levels[1], pair.space)
+    levels[0] = perp(levels[1], pair.space)
     for a in range(2, top + 1):
         # N maps weight k onto weight k + 2 for every k >= -1
         levels[a] = map_image(ni, levels[a - 2])
-        levels[1 - a] = _perp_via(perps, levels[a], pair.space)
+        levels[1 - a] = perp(levels[a], pair.space)
     filt = IsotropicFiltration(space=pair.space,
                                subspaces=tuple(sorted(levels.items())),
                                orbit=b)
-    if not _verify(filt, pair, b, perps):
+    if not _verify(filt, pair, b):
         raise InternalInconsistency(
             f"the weight filtration of N fails verification for orbit {b}")
     return filt

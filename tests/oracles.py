@@ -22,12 +22,11 @@ from exoticcone.linalg import (
 from exoticcone.orbits import (
     IsotropicFiltration,
     _maps_into,
-    _perp_via,
-    _verify,
     centralizer_basis,
     de_double,
     exv_module as lib_exv_module,
     jordan_type,
+    perp,
 )
 from exoticcone.rootdata import (
     SignedPermutation,
@@ -328,6 +327,12 @@ def span(vectors) -> tuple:
     return tuple(tuple(row) for row in rref(vectors)[0])
 
 
+def in_span(rows, vec) -> bool:
+    """Whether vec lies in the span of rows: appending it to them leaves
+    the Fraction rref's rank unchanged."""
+    return len(rref([*rows, vec])[0]) == len(rref(rows)[0])
+
+
 def sub_intersect(a, b, d) -> tuple:
     """Intersection of two row spans by four eliminations: the two
     annihilators, the kernel of both together, and its span."""
@@ -363,6 +368,44 @@ def orbit_of(pair) -> Bipartition:
     exv = lib_exv_module(pair)
     return Bipartition(de_double(jordan_type(x, subspace=exv)),
                        de_double(jordan_type(x, quotient_by=exv)))
+
+
+# -- Perp duality by recomputed perps: the reference for
+#    orbits.verify_adapted ----------------------------------------------------
+
+def _perp_via(perps: dict, sub, space):
+    """``perp`` of a canonical subspace, read through perps, a dict of the
+    perps already known. The form is nondegenerate, so perp is an
+    involution and each computed pair is stored both ways."""
+    known = perps.get(sub)
+    if known is None:
+        known = perps[sub] = perp(sub, space)
+        perps[known] = sub
+    return known
+
+
+def verify_adapted_by_perps(filt, pair, b, perps=None) -> bool:
+    """``verify_adapted`` with perp duality checked as V_{>= 1-a} =
+    perp(V_{>= a}) for every level a, each perp computed by a kernel
+    and read through perps (``_perp_via``). The library checks
+    omega(V_{>= a}, V_{>= 1-a}) = 0 with dimensions adding up to 2n
+    instead, and computes no perp."""
+    perps = {} if perps is None else perps
+    profile = filtration_dims(b)
+    lo, hi = profile.levels[0][0], profile.levels[-1][0]
+    if filt.range() != (lo, hi):
+        return False
+    xi = pair._int_x
+    for a in range(lo, hi + 1):
+        if len(filt.level(a)) != profile.dim(a):
+            return False
+        if not sub_leq(filt.level(a), filt.level(a - 1)):
+            return False
+        if _perp_via(perps, filt.level(a), pair.space) != filt.level(1 - a):
+            return False
+        if not _maps_into(xi, filt.level(a), filt.level(a + 2)):
+            return False
+    return contains(filt.level(1), pair.v_vec())
 
 
 # -- The subspace-lattice search: the reference for the closed form of
@@ -412,7 +455,7 @@ def _assemble(pair, xi, b, profile, lattice, perps) -> list:
             filt = IsotropicFiltration(space=pair.space,
                                        subspaces=tuple(sorted(levels.items())),
                                        orbit=b)
-            if _verify(filt, pair, b, perps):
+            if verify_adapted_by_perps(filt, pair, b, perps):
                 found.append(filt)
             return
         for sub in by_level[a]:
@@ -442,8 +485,9 @@ def adapted_filtration(pair, closure_depth=4):
     only; depth 2 suffices for every orbit up to n = 5. The search stops
     at the first round that assembles a verified filtration, asserts that
     it is the only one, and raises LookupError when the rounds run out.
-    Of the library's filtration code it uses only the verification
-    ``_verify`` and the perps dict of ``_perp_via``."""
+    Of the library's filtration code it uses only ``perp``, ``_maps_into``
+    and ``IsotropicFiltration``; filtrations are checked by
+    ``verify_adapted_by_perps``."""
     xi = pair._int_x
     b = pair._orbit
     profile = filtration_dims(b)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -33,6 +34,7 @@ from exoticcone.linalg import (
     zero_space,
 )
 from oracles import det as oracle_det
+from oracles import in_span as oracle_in_span
 from oracles import nullspace as oracle_nullspace
 from oracles import rref as oracle_rref
 from oracles import span as oracle_span
@@ -345,3 +347,38 @@ def test_subspace_rows_are_primitive_ints():
     assert span([[-2, 4, 0], [0, 0, -3]]) == ((1, -2, 0), (0, 0, 1))
     assert full_space(2) == ((1, 0), (0, 1))
     assert sub_rref(((3, 2),)) == ((1, Fraction(2, 3)),)
+
+
+def test_membership_agrees_with_fraction_oracle():
+    """``_in_span``, ``contains`` and ``sub_leq`` against the Fraction
+    rref membership oracle, on seeded random canonical subspaces, vectors
+    inside them (int combinations of their spanning rows) and vectors
+    drawn at random, which mostly lie outside."""
+    rng = random.Random(0)
+    verdicts = []
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(d)]
+                for _ in range(rng.randint(0, d))]
+        s = span(rows)
+        for inside in (True, False):
+            if inside:
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                vec = [sum(c * row[j] for c, row in zip(coeffs, rows))
+                       for j in range(d)]
+            else:
+                vec = [rng.randint(-3, 3) for _ in range(d)]
+            expected = oracle_in_span(rows, vec)
+            assert expected or not inside
+            assert linalg._in_span(s, vec) == expected, (rows, vec)
+            assert contains(s, vec) == expected
+            assert contains(s, [Fraction(x, 3) for x in vec]) == expected
+            verdicts.append(expected)
+            # a subspace spanned by some rows of s, perhaps with vec added
+            t = span([row for row in s if rng.random() < 0.5] + [vec])
+            assert sub_leq(t, s) == all(oracle_in_span(rows, r) for r in t)
+            assert sub_leq(s, t) == all(oracle_in_span(t, r) for r in s)
+    assert verdicts.count(True) > 300 and False in verdicts
+    # a zero row, which no canonical subspace holds, is skipped
+    assert linalg._in_span([[0, 0], [0, 1]], [0, 2])
+    assert not linalg._in_span([[0, 0], [0, 1]], [1, 0])

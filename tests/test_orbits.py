@@ -497,24 +497,87 @@ def test_adapted_filtration_conjugate_needs_no_closure_round():
     assert filt.level(1) == span([mat_vec(mat_pow(x, j), v) for j in range(5)])
 
 
-def test_adapted_filtration_matches_the_search_oracle():
-    """The closed form equals the filtration that the subspace-lattice
-    search of the oracles finds, on every orbit up to n = 5 and on 20
-    conjugates of each orbit up to n = 3: 413 pairs."""
-    count = 0
+@pytest.fixture(scope="module")
+def oracle_pairs():
+    """Every orbit up to n = 5 and 20 conjugates of each orbit up to
+    n = 3, with their orbits: 413 pairs."""
+    pairs = []
     for n in range(1, 6):
         for b in enumerate_Q(n):
             rep = representative(b)
-            pairs = [rep]
+            pairs.append((b, rep))
             if n <= 3:
-                pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
-                          for s in range(20)]
-            for pair in pairs:
-                got = adapted_filtration(pair)
-                assert got == oracles.adapted_filtration(pair), (b, pair)
-                assert got.orbit == b
-                count += 1
-    assert count == 413
+                pairs += [(b, conjugate_pair(rep, random_symplectic(
+                    rep.space, s))) for s in range(20)]
+    assert len(pairs) == 413
+    return pairs
+
+
+def test_adapted_filtration_matches_the_search_oracle(oracle_pairs):
+    """The closed form equals the filtration that the subspace-lattice
+    search of the oracles finds, on the 413 pairs of ``oracle_pairs``."""
+    for b, pair in oracle_pairs:
+        got = adapted_filtration(pair)
+        assert got == oracles.adapted_filtration(pair), (b, pair)
+        assert got.orbit == b
+
+
+def test_verify_adapted_matches_the_perps_oracle(oracle_pairs):
+    """Checking perp duality through the form agrees with recomputing
+    every perp, on the filtrations of the 413 pairs of ``oracle_pairs``
+    (all accepted) and on each of them read against the next orbit's
+    profile or the next pair (mostly rejected)."""
+    cases = [(adapted_filtration(pair), pair, b) for b, pair in oracle_pairs]
+    rejected = 0
+    for i, (filt, pair, b) in enumerate(cases):
+        assert verify_adapted(filt, pair, b)
+        assert oracles.verify_adapted_by_perps(filt, pair, b)
+        other_filt, _, other_b = cases[(i + 1) % len(cases)]
+        for args in ((filt, pair, other_b), (other_filt, pair, other_b)):
+            if args[0].space == pair.space:
+                got = verify_adapted(*args)
+                assert got == oracles.verify_adapted_by_perps(*args), args
+                rejected += not got
+    assert rejected
+
+
+def test_verify_adapted_rejects_a_foreign_form_by_duality_alone():
+    """The adapted filtration of (v, x, omega), checked against (v, x,
+    omega c) with c = 1 + y + y*, y a seeded int combination of the
+    centralizer basis of x and y* = omega^-1 y^T omega: c commutes with x
+    and is self-adjoint, so omega c is an antisymmetric form for which x
+    stays self-adjoint. Every condition but perp duality reads the same
+    filtration, v and x, so those pass; both verifiers agree on every
+    case, some cases fail by duality alone, and the filtration built for
+    the new form verifies. Five tries per orbit up to n = 3."""
+    rng = random.Random(0)
+    verdicts = []
+    for n in range(1, 4):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            d = rep.dim
+            om = rep.space.omega_rows()
+            om_inv = inverse(om)
+            basis = centralizer_basis(rep.x_rows())
+            filt = adapted_filtration(rep)
+            for _ in range(5):
+                coeffs = [rng.randint(-2, 2) for _ in basis]
+                y = [[sum(k * m[i][j] for k, m in zip(coeffs, basis))
+                      for j in range(d)] for i in range(d)]
+                y_star = mat_mul(om_inv, mat_mul(transpose(y), om))
+                c = [[int(i == j) + y[i][j] + y_star[i][j]
+                      for j in range(d)] for i in range(d)]
+                if det(c) == 0:
+                    continue
+                space = SymplecticSpace(n=n, omega=mat_mul(om, c))
+                pair = ExoticPair(v=rep.v, x=rep.x, space=space)
+                assert in_exotic_cone(pair) and orbit_of(pair) == b
+                got = verify_adapted(filt, pair, b)
+                assert got == oracles.verify_adapted_by_perps(filt, pair, b)
+                assert verify_adapted(adapted_filtration(pair), pair, b)
+                verdicts.append(got)
+    # 69 of the 85 tries give an invertible c; 13 of the forms move V_{>= 1}
+    assert len(verdicts) == 69 and verdicts.count(False) == 13
 
 
 def _weight_map(pair):
@@ -581,7 +644,7 @@ def test_pair_is_classified_once(monkeypatch):
     assert len(calls) == 2
 
 
-def test_adapted_filtration_computes_each_perp_once(monkeypatch):
+def test_adapted_filtration_computes_one_perp_per_level(monkeypatch):
     from exoticcone import orbits
 
     calls = []
@@ -591,16 +654,17 @@ def test_adapted_filtration_computes_each_perp_once(monkeypatch):
         return perp(sub, space)
 
     monkeypatch.setattr(orbits, "perp", counted)
-    # the construction takes the perp of V_{>= a} for each a >= 1, and
-    # the verification asks for the perp of every level again; in
-    # (2,1 | 1) the levels 2 and 3 are equal, so three perps are computed
+    # the construction takes the perp of V_{>= a} for each a >= 1, and the
+    # verification, inside the call and out, computes none
     b = bipartition((2, 1), (1,))
     rep = representative(b)
     pair = conjugate_pair(rep, random_symplectic(rep.space, 0))
     filt = adapted_filtration(pair)
-    positive = {filt.level(a) for a in range(1, filt.range()[1] + 1)}
-    assert len(calls) == len(set(calls)) == len(positive) == 3
+    top = filt.range()[1]
+    assert 0 < len(calls) <= top
+    calls.clear()
     assert verify_adapted(filt, pair, b)
+    assert calls == []
 
 
 def test_orbit_of_rejects_incompatible_form():
