@@ -36,7 +36,7 @@ _EXPORTS = {
     "sections": "h0_decompose h0_mult h0_mult_subsets",
     "bipartitions": (
         "Bipartition bipartition closure_leq collapse emit_dot enumerate_Q "
-        "filtration_dims hasse is_C_distinguished phiC phiC_hat"),
+        "filtration_dims hasse is_C_distinguished orbit_dim phiC phiC_hat"),
     "orbits": (
         "ExoticPair IsotropicFiltration SymplecticSpace adapted_filtration "
         "centralizer_basis de_double exv_module in_exotic_cone jordan_type "

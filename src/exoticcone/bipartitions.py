@@ -96,6 +96,20 @@ def closure_leq(lo: Bipartition, hi: Bipartition) -> bool:
     return all(map(le, _prefix_vector(lo), _prefix_vector(hi)))
 
 
+def orbit_dim(b: Bipartition) -> int:
+    """Dimension of the orbit b in the exotic nilpotent cone of Sp(2n):
+    2(n^2 - n - 2 b(mu + nu) + |mu|), where b(lam) = sum_i (i - 1) lam_i
+    and mu + nu adds parts. That is twice the dimension dim O_{mu + nu} +
+    |mu| of the orbit (mu; nu) of the enhanced nilpotent cone
+    (Achar-Henderson 2008). It runs from 0 on (∅; 1^n) to 2n^2 on
+    ((n); ∅), and rises strictly along ``closure_leq``."""
+    k = max(len(b.mu), len(b.nu))
+    lam = [_part(b.mu, i) + _part(b.nu, i) for i in range(k)]
+    n = b.size
+    return 2 * (n * n - n - 2 * sum(i * p for i, p in enumerate(lam))
+                + sum(b.mu))
+
+
 def is_C_distinguished(b: Bipartition) -> bool:
     """mu_i >= nu_i - 1 and nu_i >= mu_{i+1} - 1 for all i."""
     length = max(len(b.mu), len(b.nu)) + 1

@@ -13,7 +13,9 @@ input instead of growing fractions. ``rref`` turns only its final pivot
 rows back into Fractions, by one division each, which yields the canonical
 form over Q. Maps and spanning sets are scaled to ints the same way
 (``int_multiple``, ``int_rows``) before they are multiplied out for an
-elimination.
+elimination. ``mat_vec`` and ``mat_mul`` take each dot product as
+``sum(map(mul, row, v))``, so on the int maps the hot callers pass the
+products run at C speed; int input gives int entries.
 
 A subspace is stored canonically as a tuple of int tuples: the rows of its
 reduced row echelon form, each scaled to the primitive int row with a
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DomainError, InternalInconsistency
 
@@ -82,14 +85,11 @@ def transpose(a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    out = []
-    for row in a:
-        out.append([sum(x * y for x, y in zip(row, col) if x) for col in bt])
-    return out
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum(x * y for x, y in zip(row, v) if x) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_pow(a: Mat, k: int) -> Mat:

@@ -677,9 +677,17 @@ def random_symplectic(space: SymplecticSpace, seed: int) -> tuple:
 
 
 def conjugate_pair(pair: ExoticPair, g) -> ExoticPair:
-    """(v, x) -> (g v, g x g^{-1}), staying in the same orbit."""
+    """(v, x) -> (g v, g x g^{-1}), staying in the same orbit. When the
+    pair carries a form, g must preserve it (g^T omega g = omega), or
+    DomainError is raised: the form is kept, and any other g moves x off
+    the self-adjoint maps of that form."""
     gm = to_mat(g)
     g_inv = linalg.inverse(gm)
+    if pair.space is not None:
+        om = pair.space.omega_rows()
+        if not linalg.mat_eq(mat_mul(transpose(gm), mat_mul(om, gm)), om):
+            raise DomainError("g does not preserve the form of the pair: "
+                              "g^T omega g != omega")
     return ExoticPair(
         v=mat_vec(gm, pair.v_vec()),
         x=mat_mul(gm, mat_mul(pair.x_rows(), g_inv)),

@@ -9,11 +9,12 @@ from exoticcone.linalg import (
     Mat,
     contains,
     frac,
+    int_kernel,
     int_rows,
     int_span,
     map_image,
     map_preimage,
-    mat_vec,
+    mat_vec as lib_mat_vec,
     nonneg_combination,
     sub_add,
     sub_intersect as lib_sub_intersect,
@@ -259,6 +260,22 @@ def hasse(n: int) -> list:
     return edges
 
 
+# -- Products over Fraction: the reference for linalg.mat_vec/mat_mul -------
+
+def mat_vec(a, v) -> list:
+    """a v, each entry summed term by term over Fraction."""
+    return [sum((frac(row[k]) * frac(v[k]) for k in range(len(v))),
+                Fraction(0)) for row in a]
+
+
+def mat_mul(a, b) -> list:
+    """a b, each entry summed term by term over Fraction. A b with no rows
+    gives rows with no entries, as the library's row-major lists do."""
+    ncols = len(b[0]) if b else 0
+    return [[sum((frac(row[k]) * frac(b[k][j]) for k in range(len(b))),
+                 Fraction(0)) for j in range(ncols)] for row in a]
+
+
 # -- Gauss-Jordan elimination over Fraction: the reference for linalg --------
 
 def rref(rows) -> tuple[list, list]:
@@ -351,7 +368,8 @@ def exv_module(pair) -> tuple:
     kernel in d^2 unknowns, sharing nothing with the library's route
     through the kernels and images of the powers of x."""
     v = int_rows([pair.v_vec()])[0]
-    return int_span([mat_vec(y, v) for y in centralizer_basis(pair.x_rows())])
+    return int_span([lib_mat_vec(y, v)
+                     for y in centralizer_basis(pair.x_rows())])
 
 
 # -- The orbit from two jordan_type calls: the reference for the
@@ -368,6 +386,46 @@ def orbit_of(pair) -> Bipartition:
     exv = lib_exv_module(pair)
     return Bipartition(de_double(jordan_type(x, subspace=exv)),
                        de_double(jordan_type(x, quotient_by=exv)))
+
+
+# -- The stabilizer of a pair: the reference for bipartitions.orbit_dim -----
+
+def stabilizer(pair) -> list:
+    """Int basis of the Lie algebra of the stabilizer of (v, x) in
+    sp(omega): the kernel of A^T omega + omega A = 0, A v = 0 and
+    A x = x A in the d^2 unknowns A[i][j] (at i * d + j), as flat
+    vectors. The orbit of the pair then has dimension dim sp(2n) -
+    len(stabilizer(pair)) = 2n^2 + n - len(stabilizer(pair)). It shares
+    nothing with ``orbit_dim`` but ``int_kernel``, which the linalg
+    tests check against the Fraction nullspace above."""
+    d = pair.dim
+    om = pair.space.int_omega
+    xm = pair._int_x
+    v = int_rows([pair.v_vec()])[0]
+    rows = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            # (A^T omega + omega A)[a][b]; the form is antisymmetric, so
+            # the diagonal vanishes and b < a repeats a < b
+            row = [0] * (d * d)
+            for k in range(d):
+                row[k * d + a] += om[k][b]
+                row[k * d + b] += om[a][k]
+            rows.append(row)
+    for a in range(d):
+        # (A v)[a]
+        row = [0] * (d * d)
+        for k in range(d):
+            row[a * d + k] += v[k]
+        rows.append(row)
+        for b in range(d):
+            # (A x - x A)[a][b]
+            row = [0] * (d * d)
+            for k in range(d):
+                row[a * d + k] += xm[k][b]
+                row[k * d + b] -= xm[a][k]
+            rows.append(row)
+    return list(int_kernel([r for r in rows if any(r)], d * d).values())
 
 
 # -- Perp duality by recomputed perps: the reference for
@@ -423,7 +481,7 @@ def _seed_subspaces(xi, v, exv, kernels, images) -> set:
     u = int_rows([v])[0]
     while any(u):
         chain.append(u)
-        u = mat_vec(xi, u)
+        u = lib_mat_vec(xi, u)
     for k in range(len(chain)):
         seeds.add(int_span([chain[k]]))
         seeds.add(int_span(chain[k:]))

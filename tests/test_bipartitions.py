@@ -16,6 +16,7 @@ from exoticcone.bipartitions import (
     filtration_dims,
     hasse,
     is_C_distinguished,
+    orbit_dim,
     partitions,
     phiC,
     phiC_hat,
@@ -254,3 +255,28 @@ def test_rewrite_rejects_odd_ascending_pair():
 
     with pytest.raises(InternalInconsistency):
         rewrite_to_partition([1, 3])
+
+
+def test_orbit_dim_rises_strictly_along_the_closure_order():
+    """An orbit in the closure of another, and not equal to it, has
+    smaller dimension: on every comparable pair up to n = 8. This checks
+    ``closure_leq`` (and so ``hasse``) against geometry rather than
+    against its own definition."""
+    for n in range(9):
+        q = enumerate_Q(n)
+        dims = {b: orbit_dim(b) for b in q}
+        for a in q:
+            for b in q:
+                if a != b and closure_leq(a, b):
+                    assert dims[a] < dims[b], (a, b)
+
+
+def test_orbit_dim_is_even_from_zero_to_the_dense_orbit():
+    for n in range(9):
+        assert all(orbit_dim(b) % 2 == 0 for b in enumerate_Q(n))
+        assert orbit_dim(bipartition([n], [])) == 2 * n * n
+        assert orbit_dim(bipartition([], [1] * n)) == 0
+        assert max(map(orbit_dim, enumerate_Q(n))) == 2 * n * n
+    # the gaps along the Hasse edges of n = 4
+    gaps = {orbit_dim(hi) - orbit_dim(lo) for lo, hi in hasse(4)}
+    assert gaps == {2, 4, 6, 8, 12}

@@ -35,6 +35,8 @@ from exoticcone.linalg import (
 )
 from oracles import det as oracle_det
 from oracles import in_span as oracle_in_span
+from oracles import mat_mul as oracle_mat_mul
+from oracles import mat_vec as oracle_mat_vec
 from oracles import nullspace as oracle_nullspace
 from oracles import rref as oracle_rref
 from oracles import span as oracle_span
@@ -382,3 +384,40 @@ def test_membership_agrees_with_fraction_oracle():
     # a zero row, which no canonical subspace holds, is skipped
     assert linalg._in_span([[0, 0], [0, 1]], [0, 2])
     assert not linalg._in_span([[0, 0], [0, 1]], [1, 0])
+
+
+def test_products_agree_with_fraction_oracle():
+    """``mat_vec`` and ``mat_mul`` against the term-by-term Fraction
+    oracle on seeded random int, Fraction and mixed matrices, two thirds
+    of whose entries are zero, in shapes 0 x k, k x 0, 1 x 1 and
+    non-square ones. Int input gives int entries. Three mutations fail
+    this test: dropping the last term of each product, multiplying by
+    the rows of b instead of its columns, and starting the sums of
+    ``mat_vec`` at Fraction(0)."""
+    rng = random.Random(0)
+
+    def entry(kind):
+        if rng.random() < 2 / 3:
+            return Fraction(0) if kind == "fraction" else 0
+        p = rng.choice([-3, -2, -1, 1, 2, 3])
+        if kind == "int" or kind == "mixed" and rng.random() < 0.5:
+            return p
+        return Fraction(p, rng.randint(1, 4))
+
+    def mat(rows, cols, kind):
+        return [[entry(kind) for _ in range(cols)] for _ in range(rows)]
+
+    shapes = [(0, 3, 2), (2, 0, 3), (1, 1, 1), (2, 5, 3), (4, 1, 4),
+              (3, 3, 3)]
+    shapes += [tuple(rng.randint(1, 6) for _ in range(3)) for _ in range(60)]
+    for m, k, p in shapes:
+        for kind in ("int", "fraction", "mixed"):
+            a, b = mat(m, k, kind), mat(k, p, kind)
+            v = [entry(kind) for _ in range(k)]
+            av, ab = mat_vec(a, v), mat_mul(a, b)
+            assert av == oracle_mat_vec(a, v), (a, v)
+            assert ab == oracle_mat_mul(a, b), (a, b)
+            assert len(av) == len(ab) == m
+            if kind == "int":
+                assert all(type(x) is int for x in av)
+                assert all(type(x) is int for row in ab for x in row)

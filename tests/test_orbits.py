@@ -9,10 +9,17 @@ from hypothesis import strategies as st
 
 import oracles
 
-from exoticcone.bipartitions import Bipartition, bipartition, enumerate_Q, phiC
+from exoticcone.bipartitions import (
+    Bipartition,
+    bipartition,
+    enumerate_Q,
+    orbit_dim,
+    phiC,
+)
 from exoticcone.errors import DomainError, NotDoubled
 from exoticcone.linalg import (
     det,
+    identity,
     inverse,
     map_image,
     mat_mul,
@@ -347,6 +354,40 @@ def test_conjugation_invariance_small():
             moved = conjugate_pair(pair, g)
             assert in_exotic_cone(moved)
             assert orbit_of(moved) == b
+
+
+def test_conjugate_pair_rejects_a_g_that_breaks_the_form():
+    """g = 1 + E_01 is invertible but does not preserve the form of
+    rep((2) | (1)). conjugate_pair keeps the pair's form, so it must
+    refuse g rather than return a pair that orbit_of rejects as "x is not
+    self-adjoint for the supplied form"."""
+    rep = representative(bipartition([2], [1]))
+    g = identity(rep.dim)
+    g[0][1] = 1
+    with pytest.raises(DomainError, match="g does not preserve the form"):
+        conjugate_pair(rep, g)
+    # without a form any invertible g stays in the orbit
+    bare = ExoticPair(v=rep.v, x=rep.x)
+    assert orbit_of(conjugate_pair(bare, g)) == bipartition([2], [1])
+    moved = conjugate_pair(rep, random_symplectic(rep.space, 0))
+    assert orbit_of(moved) == bipartition([2], [1])
+
+
+def test_orbit_dim_matches_the_stabilizer_oracle():
+    """dim O = dim sp(2n) - dim stab(v, x), with the stabilizer as an
+    exact kernel in d^2 unknowns (``oracles.stabilizer``), equals
+    ``orbit_dim`` on every orbit with n <= 6 and on five conjugates of
+    each orbit with n <= 3."""
+    for n in range(1, 7):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            pairs = [rep]
+            if n <= 3:
+                pairs += [conjugate_pair(rep, random_symplectic(rep.space, s))
+                          for s in range(5)]
+            for pair in pairs:
+                dim = 2 * n * n + n - len(oracles.stabilizer(pair))
+                assert dim == orbit_dim(b), (b, pair)
 
 
 def test_random_symplectic_is_deterministic():

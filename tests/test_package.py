@@ -18,11 +18,11 @@ EXECUTED = ("[n for n in {names!r} "
 # every name the package exported before its submodules became lazy, less
 # coroot_pairing, which moved to tests/oracles.py, the twisted action
 # group, which was deleted, and the two errors of the filtration search,
-# which the closed form replaced
+# which the closed form replaced; plus orbit_dim, added since
 NAMES = {
     "bipartitions": "Bipartition bipartition closure_leq collapse emit_dot "
                     "enumerate_Q filtration_dims hasse is_C_distinguished "
-                    "phiC phiC_hat",
+                    "orbit_dim phiC phiC_hat",
     "characters": "all_weights weight_mult weight_mult_oracle weyl_dim",
     "config": "Config load_config",
     "errors": "CapExceeded DomainError InternalInconsistency NotDoubled "
