@@ -239,10 +239,16 @@ class FiltrationProfile(Record):
         return dict(self._by_index)
 
 
+@lru_cache(maxsize=256)
 def filtration_dims(b: Bipartition) -> FiltrationProfile:
     """Profile of the filtration attached to b: for a >= 1 the dimension
     is sum_i max(ceil((lam_i - a) / 2), 0) with lam the collapse of b, and
-    a <= 0 mirrors it through dim V_{>= a} + dim V_{>= 1-a} = 2n."""
+    a <= 0 mirrors it through dim V_{>= a} + dim V_{>= 1-a} = 2n.
+
+    Computed once per bipartition: the profile is immutable, and the
+    adapted filtration of a pair asks for it when it is built and again
+    when it is verified. The cache holds the 256 most recent profiles,
+    which covers every orbit up to n = 7."""
     lam = phiC(b)
     n = b.size
     top = lam[0] if lam else 1

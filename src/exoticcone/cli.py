@@ -194,6 +194,8 @@ def _cmd_adapted(args, cfg):
     pair = _load_pair(args["file"], cfg)
     solved = False
     if pair.space is None:
+        # a non-nilpotent x gets the error orbit-identify gives, not a solve
+        pair._powers
         omega = orbits.solve_symplectic_form(pair.x_rows())
         pair = orbits.ExoticPair(
             v=pair.v, x=pair.x,

@@ -527,16 +527,30 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
 class IsotropicFiltration(Record, uncompared=("orbit",)):
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
     saturated range; outside it the chain is the full space or zero.
-    Each level may be given by any spanning rows; it is stored in the
-    canonical form of ``span``. ``adapted_filtration`` also records the
-    orbit of the pair it was built for; equality ignores it."""
+    The constructor takes each level as any spanning rows and stores it in
+    the canonical form of ``span``. ``adapted_filtration`` builds every
+    level in that form already and hands the levels over through
+    ``_of_canonical``, which trusts them and eliminates none again,
+    together with the orbit of the pair; equality ignores the orbit."""
 
     space: SymplecticSpace
     subspaces: tuple  # sorted ((a, Subspace), ...)
     orbit: Bipartition | None = None
 
     def __post_init__(self):
-        levels = tuple((a, span(sub)) for a, sub in self.subspaces)
+        self._store(tuple((a, span(sub)) for a, sub in self.subspaces))
+
+    @classmethod
+    def _of_canonical(cls, space, levels: tuple, orbit):
+        """The filtration with the sorted levels ((a, Subspace), ...),
+        each already in the canonical form of ``span``; only the indices
+        are checked."""
+        filt = object.__new__(cls)
+        filt.__dict__.update(space=space, orbit=orbit)
+        filt._store(levels)
+        return filt
+
+    def _store(self, levels: tuple):
         indices = [a for a, _ in levels]
         if (not indices or any(type(a) is not int for a in indices)
                 or indices != [*range(indices[0], indices[-1] + 1)]):
@@ -574,12 +588,12 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
-    return _verify(filt, pair, b)
+    return _verify(filt, pair, filtration_dims(b))
 
 
-def _verify(filt, pair, b) -> bool:
-    """``verify_adapted`` for a pair known to carry a form."""
-    profile = filtration_dims(b)
+def _verify(filt, pair, profile) -> bool:
+    """``verify_adapted`` against the profile of b, for a pair known to
+    carry a form."""
     lo, hi = profile.levels[0][0], profile.levels[-1][0]
     flo, fhi = filt.range()
     if (flo, fhi) != (lo, hi):
@@ -614,7 +628,11 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     The powers of x, E^x v and the orbit come from the pair's cache, so a
     pair that ``orbit_of`` has classified is not classified again. The
     construction takes one perp for each level a >= 1, and the check takes
-    none (see ``verify_adapted``). A filtration that fails the check, or
+    none (see ``verify_adapted``). Every level comes out of ``int_span``,
+    ``perp``, ``map_image`` or ``sub_intersect`` in canonical form, so the
+    filtration trusts the levels as they are and eliminates none again.
+    The profile of the orbit is computed once (``filtration_dims``), for
+    the top index and the check. A filtration that fails the check, or
     an N whose powers stall before they vanish, raises
     InternalInconsistency: both are ruled out by the theory.
     """
@@ -624,7 +642,8 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     if not pair._self_adjoint:
         raise DomainError("pair is not in the exotic cone for this form")
     b = pair._orbit
-    top = filtration_dims(b).levels[-1][0]
+    profile = filtration_dims(b)
+    top = profile.levels[-1][0]
     d = pair.dim
     # N = x + u u^T omega, a positive multiple of x + t v omega(v, .), t > 0
     u = int_rows([pair.v_vec()])[0]
@@ -639,17 +658,19 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     except DomainError as exc:
         raise InternalInconsistency(
             f"N is not nilpotent for orbit {b}") from exc
-    levels = {1: int_span([w for k in range(1, len(images))
-                           for w in sub_intersect(kernels[k], images[k], d)])}
+    meets = [meet for meet in (sub_intersect(kernels[k], images[k], d)
+                               for k in range(1, len(images))) if meet]
+    # a single nonzero intersection is canonical already
+    levels = {1: meets[0] if len(meets) == 1
+              else int_span([w for meet in meets for w in meet])}
     levels[0] = perp(levels[1], pair.space)
     for a in range(2, top + 1):
         # N maps weight k onto weight k + 2 for every k >= -1
         levels[a] = map_image(ni, levels[a - 2])
         levels[1 - a] = perp(levels[a], pair.space)
-    filt = IsotropicFiltration(space=pair.space,
-                               subspaces=tuple(sorted(levels.items())),
-                               orbit=b)
-    if not _verify(filt, pair, b):
+    filt = IsotropicFiltration._of_canonical(
+        pair.space, tuple(sorted(levels.items())), b)
+    if not _verify(filt, pair, profile):
         raise InternalInconsistency(
             f"the weight filtration of N fails verification for orbit {b}")
     return filt
@@ -698,8 +719,13 @@ def conjugate_pair(pair: ExoticPair, g) -> ExoticPair:
 # -- JSON encoding of pairs at the CLI boundary ------------------------------
 
 def rational_to_json(x):
-    f = frac(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int as it is, any other exact rational (``frac``) as an int when
+    it is integral and as a "p/q" string otherwise."""
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else frac(x)
+    p, q = f.numerator, f.denominator
+    return p if q == 1 else f"{p}/{q}"
 
 
 def mat_to_json(m):

@@ -339,6 +339,13 @@ def nullspace(rows, ncols) -> list:
     return basis
 
 
+def rational_to_json(x):
+    """The JSON encoding of an exact rational through ``frac``: an int
+    when it is integral, else "p/q"."""
+    f = frac(x)
+    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
 def span(vectors) -> tuple:
     """The reduced row echelon rows over Q of a span, as Fraction tuples."""
     return tuple(tuple(row) for row in rref(vectors)[0])

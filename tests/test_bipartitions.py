@@ -190,6 +190,17 @@ def test_filtration_dims_perp_rule_and_monotone():
                 assert prof.dim(lam[0]) == 0
 
 
+def test_filtration_dims_cache_is_bounded():
+    maxsize = filtration_dims.cache_info().maxsize
+    # every orbit up to n = 7 fits, and no caller can grow it further
+    assert maxsize is not None
+    assert maxsize >= sum(len(enumerate_Q(n)) for n in range(8))
+    for n in range(10):
+        for b in enumerate_Q(n):
+            filtration_dims(b)
+    assert filtration_dims.cache_info().currsize <= maxsize
+
+
 def test_hasse_n1_and_n2():
     edges = hasse(1)
     assert edges == [(Bipartition((), (1,)), Bipartition((1,), ()))]

@@ -217,6 +217,19 @@ def test_pair_fields_must_be_json_arrays(tmp_path):
         "mu": [1], "nu": []}
 
 
+def test_non_nilpotent_pair_gets_one_error_line_and_no_form_solve(
+        tmp_path, monkeypatch):
+    def solve(_):
+        raise AssertionError("invariant form solved for a non-nilpotent x")
+
+    monkeypatch.setattr(orbits, "solve_symplectic_form", solve)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[1, 0], [0, 0]]}))
+    for command in ("orbit-identify", "adapted"):
+        assert invoke(command, "--file", str(path)) == (
+            1, "", "error: x is not nilpotent\n"), command
+
+
 def test_rank_cap_names_knob():
     code, _, err = invoke("poset", "--n", "99")
     assert code == 1

@@ -49,6 +49,7 @@ from exoticcone.orbits import (
     pair_to_json,
     perp,
     random_symplectic,
+    rational_to_json,
     representative,
     solve_symplectic_form,
     standard_form,
@@ -706,6 +707,62 @@ def test_adapted_filtration_computes_one_perp_per_level(monkeypatch):
     calls.clear()
     assert verify_adapted(filt, pair, b)
     assert calls == []
+
+
+def test_adapted_then_verify_builds_one_profile_and_eliminates_no_level_twice(
+        monkeypatch):
+    from exoticcone import bipartitions, linalg
+
+    builds, eliminated = [], set()
+    profile_cls, echelon = bipartitions.FiltrationProfile, linalg._echelon
+
+    def counted_profile(**fields):
+        builds.append(fields)
+        return profile_cls(**fields)
+
+    def recorded(m):
+        eliminated.add(tuple(map(tuple, m)))
+        return echelon(m)
+
+    monkeypatch.setattr(bipartitions, "FiltrationProfile", counted_profile)
+    monkeypatch.setattr(linalg, "_echelon", recorded)
+    for b in enumerate_Q(3):
+        rep = representative(b)
+        pair = conjugate_pair(rep, random_symplectic(rep.space, 0))
+        orbit_of(pair)  # the classification is not counted
+        bipartitions.filtration_dims.cache_clear()
+        builds.clear()
+        eliminated.clear()
+        filt = adapted_filtration(pair)
+        assert verify_adapted(filt, pair, b)
+        assert len(builds) <= 1, b
+        # each level is the output of one elimination and the input of none
+        levels = {sub for _, sub in filt.subspaces if sub}
+        assert not levels & eliminated, b
+
+
+def test_adapted_levels_are_already_canonical():
+    # adapted_filtration hands its levels over without a second
+    # elimination, which is sound only while each equals its span
+    for n in range(1, 6):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            conj = conjugate_pair(rep, random_symplectic(rep.space, n))
+            for pair in (rep, conj):
+                filt = adapted_filtration(pair)
+                assert all(sub == span(sub) for _, sub in filt.subspaces), b
+
+
+def test_rational_to_json_matches_the_frac_encoding():
+    values = [0, 1, -7, 10 ** 30, Fraction(0), Fraction(6, 3),
+              Fraction(-4, 2), Fraction(1, 3), Fraction(-5, 7),
+              Fraction(10 ** 30, 7), "0", "12", "3/6", "-4/2", "-2/6"]
+    for x in values:
+        got, want = rational_to_json(x), oracles.rational_to_json(x)
+        assert got == want and type(got) is type(want), x
+    for bad in (True, False, 1.0, "x"):
+        with pytest.raises(DomainError):
+            rational_to_json(bad)
 
 
 def test_orbit_of_rejects_incompatible_form():
