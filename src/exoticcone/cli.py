@@ -192,19 +192,10 @@ def _cmd_representative(args, cfg):
 
 def _cmd_adapted(args, cfg):
     pair = _load_pair(args["file"], cfg)
-    solved = False
-    if pair.space is None:
-        # a non-nilpotent x gets the error orbit-identify gives, not a solve
-        pair._powers
-        omega = orbits.solve_symplectic_form(pair.x_rows())
-        pair = orbits.ExoticPair(
-            v=pair.v, x=pair.x,
-            space=orbits.SymplecticSpace(n=pair.n, omega=omega),
-        )
-        solved = True
-    # adapted_filtration verifies its result, or raises
-    # InternalInconsistency
+    # adapted_filtration solves a missing form and verifies its result,
+    # or raises InternalInconsistency
     filt = orbits.adapted_filtration(pair)
+    solved = pair.space is None
     b = filt.orbit
     out = {
         "mu": list(b.mu),
@@ -217,7 +208,7 @@ def _cmd_adapted(args, cfg):
         "verified": True,
     }
     if solved:
-        out["omega"] = orbits.mat_to_json(pair.space.omega)
+        out["omega"] = orbits.mat_to_json(filt.space.omega)
     return out
 
 

@@ -3,9 +3,9 @@
 Matrices are row-major lists of lists, vectors are lists; entries are ints
 or ``fractions.Fraction`` (the two interoperate exactly).
 
-Elimination runs on ints. ``rref`` (and with it ``inverse``),
-``rank``, ``nullspace``, ``det`` and the subspace operations scale each row
-by the lcm of its denominators and run fraction-free Gauss-Jordan
+Elimination runs on ints. ``rref`` (and with it ``inverse``), ``rank``
+and ``det`` scale each row by the lcm of its denominators, and they,
+``int_kernel`` and the subspace operations run fraction-free Gauss-Jordan
 elimination (E. H. Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968): every
 update divides exactly by an earlier pivot, so entries stay minors of the
@@ -223,10 +223,10 @@ def int_kernel(rows, ncols: int) -> dict:
     """Int basis of {x : A x = 0} for int rows A, keyed by free column in
     increasing order.
 
-    The vector of the free column f is nullspace's vector for f times the
-    lcm P of the pivots of the eliminated rows that are nonzero at f: P
-    at f, -P * row[f] / pivot at each such row's pivot column, 0
-    elsewhere.
+    The vector of the free column f is the kernel vector with 1 at f and
+    0 at the other free columns times the lcm P of the pivots of the
+    eliminated rows that are nonzero at f: P at f, -P * row[f] / pivot at
+    each such row's pivot column, 0 elsewhere.
     """
     m = list(rows)
     pivots, _ = _echelon(m)
@@ -243,15 +243,6 @@ def int_kernel(rows, ncols: int) -> dict:
             v[c] = -row[free] * scale // row[c]
         basis[free] = v
     return basis
-
-
-def nullspace(rows, ncols: int) -> list:
-    """Basis of {x : A x = 0} for A with ncols columns, the vector of each
-    free column having 1 there, as Fractions."""
-    return [
-        [_ratio(x, v[free]) for x in v]
-        for free, v in int_kernel(int_rows(rows), ncols).items()
-    ]
 
 
 def det(a: Mat) -> Fraction:

@@ -63,6 +63,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -87,7 +88,6 @@ from .linalg import (
     map_image,
     mat_mul,
     mat_vec,
-    nullspace,
     rank,
     span,
     sub_add,
@@ -242,11 +242,13 @@ def in_exotic_cone(pair: ExoticPair) -> bool:
 
 def solve_symplectic_form(x) -> tuple:
     """An invertible antisymmetric omega with x^T omega = omega x, found
-    by exact nullspace computation over the antisymmetric matrices.
+    by an exact int kernel over the antisymmetric matrices.
 
-    Deterministic: the basis combination sum_k t^k A_k is scanned over
-    t = 1, 2, ... until the determinant is nonzero; if the determinant
-    vanishes identically no such form exists and the input is rejected.
+    Deterministic: with K_k the kernel vectors, 1 at their free columns,
+    sum_k t^k K_k is scanned over t = 1, 2, ... until the determinant is
+    nonzero; if it vanishes identically no such form exists and the input
+    is rejected. The scan runs on ints, on L times the sum for the lcm L
+    of the free entries of ``int_kernel``, and divides by L at the end.
     """
     xm = int_multiple(to_mat(x))
     d = len(xm)
@@ -269,24 +271,23 @@ def solve_symplectic_form(x) -> tuple:
                         row[k] += sign * w
             if any(row):
                 rows.append(row)
-    basis = nullspace(rows, len(pairs))
-    if not basis and d:
+    kernel = int_kernel(rows, len(pairs))
+    if not kernel and d:
         # the zero space has no nonzero form, but its empty form is
         # invertible, and the scan below returns it
         raise DomainError("no nonzero invariant antisymmetric form")
-    bound = d * len(basis) + 1
-    for t in range(1, bound + 1):
-        coeffs = [Fraction(0)] * len(pairs)
-        scale = 1
-        for vec in basis:
-            for k, c in enumerate(vec):
-                coeffs[k] += scale * c
-            scale *= t
-        om = [[Fraction(0)] * d for _ in range(d)]
+    den = lcm(*[vec[free] for free, vec in kernel.items()])
+    basis = [[c * (den // vec[free]) for c in vec]
+             for free, vec in kernel.items()]
+    for t in range(1, d * len(basis) + 2):
+        coeffs = [sum(c * t ** k for k, c in enumerate(col))
+                  for col in zip(*basis)]
+        om = [[0] * d for _ in range(d)]
         for (i, j), (k, sign) in slot.items():
             om[i][j] = sign * coeffs[k]
         if linalg.det(om) != 0:
-            return _freeze_mat(om)
+            return _freeze_mat([[Fraction(c, den) for c in row]
+                                for row in om])
     raise DomainError("no invertible invariant form (Jordan type not doubled)")
 
 
@@ -447,10 +448,15 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
     Raises NotDoubled when (v, x) lies in no orbit for any symplectic
     form, e.g. when the Jordan type of x is not doubled.
     """
+    _check_in_cone(pair)
+    return pair._orbit
+
+
+def _check_in_cone(pair: ExoticPair):
+    """The membership errors of ``orbit_of`` and ``adapted_filtration``."""
     pair._powers  # raises DomainError when x is not nilpotent
     if not pair._self_adjoint:
         raise DomainError("x is not self-adjoint for the supplied form")
-    return pair._orbit
 
 
 def _orbit_from_module(xi, exv: Subspace, images) -> Bipartition:
@@ -588,12 +594,12 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
-    return _verify(filt, pair, filtration_dims(b))
+    return _verify(filt, pair, pair.space, filtration_dims(b))
 
 
-def _verify(filt, pair, profile) -> bool:
-    """``verify_adapted`` against the profile of b, for a pair known to
-    carry a form."""
+def _verify(filt, pair, space, profile) -> bool:
+    """``verify_adapted`` against the profile of b and the form of
+    space."""
     lo, hi = profile.levels[0][0], profile.levels[-1][0]
     flo, fhi = filt.range()
     if (flo, fhi) != (lo, hi):
@@ -606,7 +612,7 @@ def _verify(filt, pair, profile) -> bool:
             return False
         if not _maps_into(xi, filt.level(a), filt.level(a + 2)):
             return False
-    om = pair.space.int_omega
+    om = space.int_omega
     for a in range(1, hi + 1):
         dual = filt.level(1 - a)
         if sub_dim(filt.level(a)) + sub_dim(dual) != pair.dim:
@@ -635,19 +641,21 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     the top index and the check. A filtration that fails the check, or
     an N whose powers stall before they vanish, raises
     InternalInconsistency: both are ruled out by the theory.
+
+    A pair without a form gets the one ``solve_symplectic_form`` finds,
+    after the membership checks and before the orbit; the filtration
+    carries the form it was built with.
     """
-    if pair.space is None:
-        raise DomainError("adapted filtration needs a symplectic form")
-    pair._powers  # raises DomainError when x is not nilpotent
-    if not pair._self_adjoint:
-        raise DomainError("pair is not in the exotic cone for this form")
+    _check_in_cone(pair)
+    space = pair.space or SymplecticSpace(
+        n=pair.n, omega=solve_symplectic_form(pair._int_x))
     b = pair._orbit
     profile = filtration_dims(b)
     top = profile.levels[-1][0]
     d = pair.dim
     # N = x + u u^T omega, a positive multiple of x + t v omega(v, .), t > 0
     u = int_rows([pair.v_vec()])[0]
-    row = [-c for c in mat_vec(pair.space.int_omega, u)]  # u^T omega
+    row = [-c for c in mat_vec(space.int_omega, u)]  # u^T omega
     ni = [[a + c * r for a, r in zip(xrow, row)]
           for xrow, c in zip(pair._int_x, u)]
     # on a Jordan chain of N of length m, ker N^i and im N^i meet in the
@@ -663,14 +671,14 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     # a single nonzero intersection is canonical already
     levels = {1: meets[0] if len(meets) == 1
               else int_span([w for meet in meets for w in meet])}
-    levels[0] = perp(levels[1], pair.space)
+    levels[0] = perp(levels[1], space)
     for a in range(2, top + 1):
         # N maps weight k onto weight k + 2 for every k >= -1
         levels[a] = map_image(ni, levels[a - 2])
-        levels[1 - a] = perp(levels[a], pair.space)
+        levels[1 - a] = perp(levels[a], space)
     filt = IsotropicFiltration._of_canonical(
-        pair.space, tuple(sorted(levels.items())), b)
-    if not _verify(filt, pair, profile):
+        space, tuple(sorted(levels.items())), b)
+    if not _verify(filt, pair, space, profile):
         raise InternalInconsistency(
             f"the weight filtration of N fails verification for orbit {b}")
     return filt

@@ -368,6 +368,46 @@ def sub_intersect(a, b, d) -> tuple:
     return span(nullspace(joint, d))
 
 
+# -- The invariant form over Fraction: the reference for
+#    orbits.solve_symplectic_form -------------------------------------------
+
+def solve_symplectic_form(x) -> tuple:
+    """The form scan over Fractions: the Fraction nullspace of the
+    invariance system, normalised to 1 at each free column, combined as
+    sum_k t^k A_k over t = 1, 2, ... until the Fraction determinant is
+    nonzero. Raises DomainError with the library's two messages."""
+    xm = [[frac(c) for c in row] for row in x]
+    d = len(xm)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    slot = {}
+    for k, (i, j) in enumerate(pairs):
+        slot[i, j], slot[j, i] = (k, 1), (k, -1)
+    rows = []
+    for a in range(d):
+        for b in range(a, d):
+            # (x^T omega - omega x)[a][b] as a linear form in the coeffs
+            row = [Fraction(0)] * len(pairs)
+            for m in range(d):
+                for ij, w in (((m, b), xm[m][a]), ((a, m), -xm[m][b])):
+                    if w and ij in slot:
+                        k, sign = slot[ij]
+                        row[k] += sign * w
+            rows.append(row)
+    basis = nullspace(rows, len(pairs))
+    if not basis and d:
+        raise DomainError("no nonzero invariant antisymmetric form")
+    for t in range(1, d * len(basis) + 2):
+        coeffs = [Fraction(0)] * len(pairs)
+        for k, vec in enumerate(basis):
+            coeffs = [c + t ** k * y for c, y in zip(coeffs, vec)]
+        om = [[Fraction(0)] * d for _ in range(d)]
+        for (i, j), (k, sign) in slot.items():
+            om[i][j] = sign * coeffs[k]
+        if det(om) != 0:
+            return tuple(map(tuple, om))
+    raise DomainError("no invertible invariant form (Jordan type not doubled)")
+
+
 # -- E^x v through the centralizer: the reference for orbits.exv_module ------
 
 def exv_module(pair) -> tuple:

@@ -230,6 +230,33 @@ def test_non_nilpotent_pair_gets_one_error_line_and_no_form_solve(
             1, "", "error: x is not nilpotent\n"), command
 
 
+def test_non_self_adjoint_pair_gets_one_error_line(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[0, 1], [0, 0]],
+                                "omega": [[0, 1], [-1, 0]]}))
+    for command in ("orbit-identify", "adapted"):
+        assert invoke(command, "--file", str(path)) == (
+            1, "", "error: x is not self-adjoint for the supplied form\n"
+        ), command
+
+
+def test_adapted_without_a_form_computes_the_powers_of_x_once(monkeypatch):
+    calls = []
+    power_spaces = orbits._power_spaces
+
+    def counted(xi, stop=None):
+        calls.append(xi)
+        return power_spaces(xi, stop)
+
+    monkeypatch.setattr(orbits, "_power_spaces", counted)
+    with open(PAIR, encoding="utf-8") as handle:
+        pair = orbits.pair_from_json(json.load(handle))
+    assert pair.space is None
+    doc = invoke_json("adapted", "--file", PAIR)
+    assert doc["omega_solved"] and doc["verified"]
+    assert calls.count(pair._int_x) == 1
+
+
 def test_rank_cap_names_knob():
     code, _, err = invoke("poset", "--n", "99")
     assert code == 1

@@ -22,7 +22,6 @@ from exoticcone.linalg import (
     mat_mul,
     mat_vec,
     nonneg_combination,
-    nullspace,
     rank,
     rref,
     span,
@@ -43,6 +42,13 @@ from oracles import span as oracle_span
 from oracles import sub_intersect as oracle_intersect
 
 small_mat = st.integers(-4, 4)
+
+
+def normalised_kernel(m, ncols):
+    """``int_kernel`` of m with each vector divided by its entry at its
+    free column: the Fraction nullspace basis of the oracle."""
+    return [[Fraction(x, v[free]) for x in v]
+            for free, v in int_kernel(int_rows(m), ncols).items()]
 
 
 def matrices(rows, cols):
@@ -74,11 +80,12 @@ def test_rref_known():
 
 def test_rank_and_nullspace_empty_cases():
     assert rank([]) == 0
-    assert nullspace([], 3) == [
-        [1, 0, 0],
-        [0, 1, 0],
-        [0, 0, 1],
-    ]
+    assert int_kernel([], 3) == {
+        0: [1, 0, 0],
+        1: [0, 1, 0],
+        2: [0, 0, 1],
+    }
+    assert normalised_kernel([], 3) == oracle_nullspace([], 3)
 
 
 def test_det_and_inverse():
@@ -93,10 +100,11 @@ def test_det_and_inverse():
 @given(matrices(3, 4))
 @settings(max_examples=60)
 def test_nullspace_annihilates_and_rank_nullity(m):
-    basis = nullspace(m, 4)
-    for v in basis:
+    basis = int_kernel(int_rows(m), 4)
+    for v in basis.values():
         assert mat_vec(m, v) == [0, 0, 0]
     assert rank(m) + len(basis) == 4
+    assert normalised_kernel(m, 4) == oracle_nullspace(m, 4)
 
 
 @given(matrices(3, 3), matrices(3, 3))
@@ -228,9 +236,9 @@ def test_elimination_agrees_with_fraction_oracle(m):
     assert (red, pivots) == oracle_rref(m)
     assert all_fractions(red)
     assert rank(m) == len(red)
-    basis = nullspace(m, ncols)
-    assert basis == oracle_nullspace(m, ncols)
-    assert all_fractions(basis)
+    basis = int_kernel(int_rows(m), ncols)
+    assert all(type(x) is int for v in basis.values() for x in v)
+    assert normalised_kernel(m, ncols) == oracle_nullspace(m, ncols)
     k = min(len(m), ncols)
     square = [row[:k] for row in m[:k]]
     value = det(square)
@@ -253,7 +261,7 @@ def test_elimination_of_empty_inputs_matches_oracle():
     assert rref([]) == oracle_rref([]) == ([], [])
     assert rref([[], []]) == oracle_rref([[], []])
     assert rank([]) == 0
-    assert nullspace([], 2) == oracle_nullspace([], 2)
+    assert normalised_kernel([], 2) == oracle_nullspace([], 2)
     assert det([]) == oracle_det([]) == 1
     assert type(det([])) is Fraction
     assert inverse([]) == []

@@ -397,16 +397,68 @@ def test_random_symplectic_is_deterministic():
     assert random_symplectic(sp, 17) != random_symplectic(sp, 18)
 
 
+J3_J1 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+
+
 def test_solve_symplectic_form(sample_pair):
+    """The int kernel and int determinant scan give the form of the
+    Fraction nullspace and Fraction determinant scan (the oracle), entry
+    for entry, on formless conjugates of every orbit with n <= 4, and
+    refuse what it refuses with the same message."""
     omega = solve_symplectic_form(sample_pair.x_rows())
     sp = SymplecticSpace(n=6, omega=omega)
     assert in_exotic_cone(
         ExoticPair(v=sample_pair.v, x=sample_pair.x, space=sp)
     )
-    with pytest.raises(DomainError):
-        solve_symplectic_form([[0, 1], [0, 0]])
     # the zero space carries one form, the empty one
     assert solve_symplectic_form([]) == ()
+    xs = [sample_pair.x_rows(), []]
+    for n in range(1, 5):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            xs.append(conjugate_pair(
+                rep, random_symplectic(rep.space, n)).x_rows())
+    for x in xs:
+        got = solve_symplectic_form(x)
+        assert got == oracles.solve_symplectic_form(x)
+        assert all(type(c) is Fraction for row in got for c in row)
+    for x, message in (([[0, 1], [0, 0]], "no nonzero invariant"),
+                       (J3_J1, "no invertible invariant form")):
+        for solve in (solve_symplectic_form, oracles.solve_symplectic_form):
+            with pytest.raises(DomainError, match=message):
+                solve(x)
+
+
+def test_adapted_filtration_solves_a_missing_form():
+    """A formless pair gets the filtration of the same pair with the
+    solved form attached: formless conjugates of every orbit with n <= 3,
+    and rep((1) | (1)) moved by a g with a fractional inverse, which gives
+    "p/q" entries."""
+    pairs = []
+    for n in range(1, 4):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            conj = conjugate_pair(rep, random_symplectic(rep.space, n))
+            pairs.append(ExoticPair(v=conj.v, x=conj.x))
+    rep = representative(bipartition((1,), (1,)))
+    g = [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [1, 0, 0, 1]]
+    doc = pair_to_json(conjugate_pair(ExoticPair(v=rep.v, x=rep.x), g))
+    assert any("/" in str(c) for row in doc["x"] for c in row)
+    pairs.append(pair_from_json(doc))
+    for pair in pairs:
+        filt = adapted_filtration(pair)
+        space = SymplecticSpace(n=pair.n,
+                                omega=solve_symplectic_form(pair.x_rows()))
+        with_form = ExoticPair(v=pair.v, x=pair.x, space=space)
+        want = adapted_filtration(with_form)
+        assert filt.subspaces == want.subspaces
+        assert filt.orbit == want.orbit == orbit_of(pair)
+        assert filt.space == want.space == space
+        assert verify_adapted(filt, with_form, filt.orbit)
+    # the solve comes before the orbit, so a Jordan type that is not
+    # doubled is refused by the solve
+    with pytest.raises(DomainError, match="no invertible invariant form"):
+        adapted_filtration(ExoticPair(v=[1, 0, 0, 0], x=J3_J1))
 
 
 def test_adapted_filtration_sample(sample_pair_with_form):
@@ -776,7 +828,7 @@ def test_orbit_of_rejects_incompatible_form():
             if call is in_exotic_cone:
                 assert not in_exotic_cone(pair)
             else:
-                with pytest.raises(DomainError):
+                with pytest.raises(DomainError, match="not self-adjoint"):
                     call(pair)
 
 
