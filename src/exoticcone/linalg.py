@@ -21,9 +21,9 @@ A subspace is stored canonically as a tuple of int tuples: the rows of its
 reduced row echelon form, each scaled to the primitive int row with a
 positive pivot. Two spanning sets of one subspace give the same tuple, so
 equal subspaces compare and hash equal, and the rows never leave the
-integers; ``sub_rref`` gives the reduced rows over Q as Fractions. The
-intersection of two subspaces is one elimination of stacked rows
-(Zassenhaus), and kernels come from one int routine (``int_kernel``).
+integers. The intersection of two subspaces is one elimination of
+stacked rows (Zassenhaus), and kernels come from one int routine
+(``int_kernel``).
 """
 
 from __future__ import annotations
@@ -37,9 +37,6 @@ from .errors import DomainError, InternalInconsistency
 Vec = list
 Mat = list
 Subspace = tuple
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -193,14 +190,6 @@ def _echelon(m: list) -> tuple[list, int]:
     return pivots, sign
 
 
-def _ratio(x: int, p: int) -> Fraction:
-    if not x:
-        return _ZERO
-    if x == p:
-        return _ONE
-    return Fraction(x, p)
-
-
 def rref(rows) -> tuple[list, list]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns).
 
@@ -211,7 +200,7 @@ def rref(rows) -> tuple[list, list]:
     m = int_rows(rows)
     pivots, _ = _echelon(m)
     return [
-        [_ratio(x, row[c]) for x in row] for row, c in zip(m, pivots)
+        [Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)
     ], pivots
 
 
@@ -257,8 +246,8 @@ def det(a: Mat) -> Fraction:
         den *= row_den
     pivots, sign = _echelon(m)
     if len(pivots) < d:
-        return _ZERO
-    return Fraction(sign * m[d - 1][d - 1], den) if d else _ONE
+        return Fraction(0)
+    return Fraction(sign * m[d - 1][d - 1], den) if d else Fraction(1)
 
 
 def inverse(a: Mat) -> Mat:
@@ -296,15 +285,6 @@ def span(vectors) -> Subspace:
     reduced row echelon form, each scaled to the primitive int row with
     a positive pivot."""
     return int_span(int_rows(vectors))
-
-
-def sub_rref(s: Subspace) -> tuple:
-    """The reduced row echelon rows of a subspace, as Fractions."""
-    out = []
-    for row in s:
-        p = next(x for x in row if x)
-        out.append(tuple(_ratio(x, p) for x in row))
-    return tuple(out)
 
 
 def full_space(d: int) -> Subspace:

@@ -94,7 +94,6 @@ from .linalg import (
     sub_dim,
     sub_intersect,
     sub_leq,
-    sub_rref,
     to_mat,
     to_vec,
     transpose,
@@ -577,8 +576,18 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
         return self.subspaces[0][0], self.subspaces[-1][0]
 
     def as_dict(self) -> dict:
-        """Each level's reduced row echelon rows, as Fractions."""
-        return {a: sub_rref(sub) for a, sub in self.subspaces}
+        """Each level's reduced row echelon rows over Q, read off its
+        canonical int rows: a row whose pivot p is 1 is returned as it
+        is, and otherwise each entry x becomes the int x // p when p
+        divides it and Fraction(x, p) when it does not."""
+        return {a: tuple(map(_reduced_row, sub)) for a, sub in self.subspaces}
+
+
+def _reduced_row(row: tuple) -> tuple:
+    p = next(filter(None, row))
+    if p == 1:
+        return row
+    return tuple(Fraction(x, p) if x % p else x // p for x in row)
 
 
 def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
@@ -717,9 +726,11 @@ def conjugate_pair(pair: ExoticPair, g) -> ExoticPair:
         if not linalg.mat_eq(mat_mul(transpose(gm), mat_mul(om, gm)), om):
             raise DomainError("g does not preserve the form of the pair: "
                               "g^T omega g != omega")
+    # integral entries of g^-1 as ints: a symplectic int g has det 1,
+    # so its products run on ints
     return ExoticPair(
         v=mat_vec(gm, pair.v_vec()),
-        x=mat_mul(gm, mat_mul(pair.x_rows(), g_inv)),
+        x=mat_mul(gm, mat_mul(pair.x_rows(), to_mat(g_inv))),
         space=pair.space,
     )
 
@@ -750,9 +761,13 @@ def _json_array(value, name: str, rows: bool = False) -> list:
 
 def pair_from_json(obj) -> ExoticPair:
     """Read {"n":..., "v":[...], "x":[[...]], "omega": optional} with
-    rationals as ints or "p/q" strings."""
+    rationals as ints or "p/q" strings; any other key is refused."""
     if not isinstance(obj, dict):
         raise DomainError("pair document must be a JSON object")
+    unknown = [key for key in obj if key not in ("n", "v", "x", "omega")]
+    if unknown:
+        raise DomainError(f"pair document has an unknown key {unknown[0]!r}; "
+                          "the keys are n, v, x and omega")
     try:
         n = obj["n"]
         if type(n) is not int:

@@ -351,6 +351,16 @@ def span(vectors) -> tuple:
     return tuple(tuple(row) for row in rref(vectors)[0])
 
 
+def sub_rref(s) -> tuple:
+    """The reduced row echelon rows over Q of a canonical subspace, as
+    Fraction tuples: each primitive int row divided by its pivot."""
+    out = []
+    for row in s:
+        p = next(x for x in row if x)
+        out.append(tuple(Fraction(x, p) for x in row))
+    return tuple(out)
+
+
 def in_span(rows, vec) -> bool:
     """Whether vec lies in the span of rows: appending it to them leaves
     the Fraction rref's rank unchanged."""

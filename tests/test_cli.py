@@ -240,6 +240,32 @@ def test_non_self_adjoint_pair_gets_one_error_line(tmp_path):
         ), command
 
 
+def test_pair_document_with_an_unknown_key_gets_one_error_line(tmp_path):
+    """A misspelt "omega" once dropped the form without a message, and
+    both pair commands answered (1) | (1) for a pair whose x is not
+    self-adjoint for that form."""
+    doc = {"n": 2, "v": [1, 0, 0, 0],
+           "x": [[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
+           "omgea": [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0],
+                     [-1, 0, 0, 0]]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    errors = set()
+    for command in ("orbit-identify", "adapted"):
+        code, out, err = invoke(command, "--file", str(path))
+        assert (code, out) == (1, ""), command
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'omgea'" in err
+        errors.add(err)
+    assert len(errors) == 1
+    doc["omega"] = doc.pop("omgea")
+    path.write_text(json.dumps(doc))
+    for command in ("orbit-identify", "adapted"):
+        assert invoke(command, "--file", str(path)) == (
+            1, "", "error: x is not self-adjoint for the supplied form\n"
+        ), command
+
+
 def test_adapted_without_a_form_computes_the_powers_of_x_once(monkeypatch):
     calls = []
     power_spaces = orbits._power_spaces

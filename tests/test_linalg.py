@@ -29,7 +29,6 @@ from exoticcone.linalg import (
     sub_dim,
     sub_intersect,
     sub_leq,
-    sub_rref,
     zero_space,
 )
 from oracles import det as oracle_det
@@ -40,6 +39,7 @@ from oracles import nullspace as oracle_nullspace
 from oracles import rref as oracle_rref
 from oracles import span as oracle_span
 from oracles import sub_intersect as oracle_intersect
+from oracles import sub_rref
 
 small_mat = st.integers(-4, 4)
 

@@ -805,6 +805,61 @@ def test_adapted_levels_are_already_canonical():
                 assert all(sub == span(sub) for _, sub in filt.subspaces), b
 
 
+def test_as_dict_reads_the_reduced_rows_off_the_int_rows():
+    """``as_dict`` gives each level's reduced rows over Q (the Fraction
+    oracle ``sub_rref``), with an integral entry as an int and any other
+    as a Fraction: on formless conjugates of every orbit with n <= 4 by
+    an upper-triangular g with diagonal 1..2n, which gives "p/q" entries,
+    on their symplectic conjugates, and on one pair read from "p/q"."""
+    pairs = []
+    for n in range(1, 5):
+        d = 2 * n
+        g = [[i + 1 if i == j else int(j > i) for j in range(d)]
+             for i in range(d)]
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            pairs.append(conjugate_pair(ExoticPair(v=rep.v, x=rep.x), g))
+            pairs.append(conjugate_pair(rep, random_symplectic(rep.space, n)))
+    rep = representative(bipartition((1,), (1,)))
+    g = [[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 3, 1], [1, 0, 0, 1]]
+    doc = pair_to_json(conjugate_pair(ExoticPair(v=rep.v, x=rep.x), g))
+    assert any("/" in str(c) for row in doc["x"] for c in row)
+    pairs.append(pair_from_json(doc))
+    pivots = set()
+    for pair in pairs:
+        filt = adapted_filtration(pair)
+        levels = filt.as_dict()
+        assert list(levels) == [a for a, _ in filt.subspaces]
+        for a, level in filt.subspaces:
+            assert levels[a] == oracles.sub_rref(level), (pair, a)
+            for row in levels[a]:
+                assert all(type(x) is int or type(x) is Fraction
+                           and x.denominator > 1 for x in row), (pair, a)
+            pivots.update(next(filter(None, row)) for row in level)
+    # some pivot is not 1, so the Fraction branch is reached
+    assert pivots - {1}
+
+
+def test_conjugate_pair_by_a_symplectic_int_g_stays_on_ints():
+    """A symplectic int g has det 1, so g x g^-1 has int entries, equal to
+    the product over Fraction with the inverse from the oracle rref."""
+    for n in range(1, 4):
+        d = 2 * n
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            for seed in range(2):
+                g = [list(row) for row in random_symplectic(rep.space, seed)]
+                moved = conjugate_pair(rep, g)
+                assert all(type(c) is int for row in moved.x for c in row)
+                red, _ = oracles.rref([row + [int(i == j) for j in range(d)]
+                                       for i, row in enumerate(g)])
+                g_inv = [row[d:] for row in red]
+                want = oracles.mat_mul(g, oracles.mat_mul(rep.x_rows(), g_inv))
+                assert moved.x_rows() == want, (b, seed)
+                assert moved.v_vec() == oracles.mat_vec(g, rep.v_vec())
+                assert moved.space == rep.space
+
+
 def test_rational_to_json_matches_the_frac_encoding():
     values = [0, 1, -7, 10 ** 30, Fraction(0), Fraction(6, 3),
               Fraction(-4, 2), Fraction(1, 3), Fraction(-5, 7),
