@@ -51,9 +51,18 @@ def _weight_arg(text: str, what: str) -> tuple:
     return tuple(data)
 
 
+def _decimal(k: int) -> str:
+    # a sum of JSON ints can pass the int-string digit limit they each obey
+    try:
+        return str(k)
+    except ValueError:
+        return f"a {k.bit_length()}-bit integer"
+
+
 def _check_rank(n: int, cfg: Config):
     if n > cfg.rank_cap:
-        raise CapExceeded("rank_cap", f"n={n} exceeds rank_cap={cfg.rank_cap}")
+        raise CapExceeded(
+            "rank_cap", f"n={_decimal(n)} exceeds rank_cap={cfg.rank_cap}")
     if n < 0:
         raise DomainError("n must be nonnegative")
 
@@ -72,7 +81,7 @@ def _check_degree(weight: tuple, cfg: Config, what: str):
     if size > cfg.degree_cap:
         raise CapExceeded(
             "degree_cap",
-            f"|{what}|={size} exceeds degree_cap={cfg.degree_cap}",
+            f"|{what}|={_decimal(size)} exceeds degree_cap={cfg.degree_cap}",
         )
 
 

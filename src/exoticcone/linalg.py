@@ -28,6 +28,7 @@ stacked rows (Zassenhaus), and kernels come from one int routine
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -38,6 +39,9 @@ Vec = list
 Mat = list
 Subspace = tuple
 
+# the "p/q" strings ``frac`` reads: ASCII digits, a leading minus at most
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def frac(x) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
@@ -45,7 +49,7 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, str) and _RATIONAL.fullmatch(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:

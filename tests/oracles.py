@@ -3,8 +3,13 @@
 import functools
 from fractions import Fraction
 
-from exoticcone.bipartitions import Bipartition, enumerate_Q, filtration_dims
-from exoticcone.errors import DomainError
+from exoticcone.bipartitions import (
+    Bipartition,
+    as_partition,
+    enumerate_Q,
+    filtration_dims,
+)
+from exoticcone.errors import DomainError, InternalInconsistency
 from exoticcone.linalg import (
     Mat,
     contains,
@@ -258,6 +263,60 @@ def hasse(n: int) -> list:
             if not any(closure_leq(a, c) for c in below[b] if c != a):
                 edges.append((a, b))
     return edges
+
+
+# -- the collapse by rewriting and C-distinguishedness by its two conditions --
+
+def interleave(b) -> list:
+    """The composition (2 mu_1, 2 nu_1, 2 mu_2, 2 nu_2, ...)."""
+    k = max(len(b.mu), len(b.nu))
+    comp = []
+    for i in range(k):
+        comp.append(2 * _part(b.mu, i))
+        comp.append(2 * _part(b.nu, i))
+    return comp
+
+
+def _ascents(comp) -> list:
+    return [i for i in range(len(comp) - 1) if comp[i] < comp[i + 1]]
+
+
+def rewrite_to_partition(comp, choose=None):
+    """Sort a composition by merging ascending adjacent pairs (2s, 2t),
+    s < t, into (s + t, s + t) until it is weakly decreasing: the
+    reference for ``bipartitions.phiC``, which merges in one pass.
+
+    ``choose`` picks which eligible ascent to rewrite next (default: the
+    leftmost); any choice reaches the same partition, which the test suite
+    checks with randomized orders.
+    """
+    comp = list(comp)
+    guard = 4 * len(comp) * len(comp) + 8
+    for _ in range(guard):
+        spots = _ascents(comp)
+        if not spots:
+            parts = tuple(p for p in comp if p)
+            return as_partition(parts)
+        i = spots[0] if choose is None else choose(spots)
+        a, b = comp[i], comp[i + 1]
+        if a % 2 or b % 2:
+            raise InternalInconsistency(
+                f"ascending pair with an odd member at {i}: ({a}, {b})"
+            )
+        comp[i] = comp[i + 1] = (a + b) // 2
+    raise InternalInconsistency("composition rewrite did not terminate")
+
+
+def is_C_distinguished(b) -> bool:
+    """mu_i >= nu_i - 1 and nu_i >= mu_{i+1} - 1 for all i, one index at
+    a time."""
+    length = max(len(b.mu), len(b.nu)) + 1
+    for i in range(length):
+        if _part(b.mu, i) < _part(b.nu, i) - 1:
+            return False
+        if _part(b.nu, i) < _part(b.mu, i + 1) - 1:
+            return False
+    return True
 
 
 # -- Products over Fraction: the reference for linalg.mat_vec/mat_mul -------

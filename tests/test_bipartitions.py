@@ -20,9 +20,8 @@ from exoticcone.bipartitions import (
     partitions,
     phiC,
     phiC_hat,
-    rewrite_to_partition,
 )
-from exoticcone.errors import DomainError
+from exoticcone.errors import DomainError, InternalInconsistency
 from exoticcone.orbits import representative
 import oracles
 
@@ -105,6 +104,8 @@ def test_phiC_examples():
     assert phiC(bipartition((1, 1, 1), (3,))) == (4, 4, 2, 1, 1)
     assert phiC(bipartition((1,), ())) == (2,)
     assert phiC(bipartition((), (1,))) == (1, 1)
+    # the ascent (2 nu_1, 2 mu_2) of (4, 2, 4): (4, 3, 3)
+    assert phiC(bipartition((2, 2), (1,))) == (4, 3, 3)
 
 
 def test_phiC_lands_in_doubled_odd_class():
@@ -157,13 +158,33 @@ def test_order_isomorphism_small():
 def test_phiC_confluent_under_random_orders(n, seed):
     rng = random.Random(seed)
     for b in enumerate_Q(n):
-        comp = []
-        k = max(len(b.mu), len(b.nu))
-        for i in range(k):
-            comp.append(2 * (b.mu[i] if i < len(b.mu) else 0))
-            comp.append(2 * (b.nu[i] if i < len(b.nu) else 0))
-        randomized = rewrite_to_partition(comp, choose=rng.choice)
+        randomized = oracles.rewrite_to_partition(oracles.interleave(b),
+                                                  choose=rng.choice)
         assert randomized == phiC(b)
+
+
+def test_phiC_matches_the_rewriting_oracle():
+    """The one-pass collapse equals the rewriting engine, which merges one
+    ascent at a time and rescans, on every bipartition with n <= 12.
+    Merging only the (2 mu_i, 2 nu_i) pairs fails here: mu = (2, 2),
+    nu = (1) needs the (2 nu_1, 2 mu_2) merge, (4, 2, 4) -> (4, 3, 3)."""
+    for n in range(13):
+        for b in enumerate_Q(n):
+            assert phiC(b) == oracles.rewrite_to_partition(
+                oracles.interleave(b)), b
+
+
+def test_phiC_refuses_a_composition_that_is_not_a_bipartition():
+    # Bipartition() skips the checks of bipartition(); the collapse of
+    # ((1, 3), ()) is (2, 3, 3), which is not a partition
+    with pytest.raises(InternalInconsistency, match="not a partition"):
+        phiC(Bipartition((1, 3), ()))
+
+
+def test_is_C_distinguished_matches_the_two_condition_loop():
+    for n in range(9):
+        for b in enumerate_Q(n):
+            assert is_C_distinguished(b) == oracles.is_C_distinguished(b), b
 
 
 def test_filtration_dims_worked_values():
@@ -262,10 +283,8 @@ def test_emit_dot_structure():
 
 
 def test_rewrite_rejects_odd_ascending_pair():
-    from exoticcone.errors import InternalInconsistency
-
     with pytest.raises(InternalInconsistency):
-        rewrite_to_partition([1, 3])
+        oracles.rewrite_to_partition([1, 3])
 
 
 def test_orbit_dim_rises_strictly_along_the_closure_order():

@@ -348,6 +348,50 @@ def test_over_long_json_integer_is_one_error_line(tmp_path):
         assert "Traceback" not in err
 
 
+def test_rational_strings_outside_p_over_q_are_one_error_line(tmp_path):
+    """Fraction(str) also reads exponents, decimals, spaces, underscores, a
+    plus sign and non-ASCII digits; "1e5000" once passed the digit limit
+    of a written-out int and ended in a Traceback when it was printed."""
+    doc = {"n": 2, "v": [0, 1, 0, 0],
+           "x": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
+    path = tmp_path / "pair.json"
+    for entry in ("1e5000", "0.5", " 1", "1_000", "+2", "\u0663", "1/-2"):
+        doc["x"][0][1] = entry
+        path.write_text(json.dumps(doc))
+        for command in ("orbit-identify", "adapted"):
+            assert invoke(command, "--file", str(path)) == (
+                1, "", f"error: not an exact rational: {entry!r}\n"
+            ), (entry, command)
+    doc["x"][0][1] = "-2/4"
+    path.write_text(json.dumps(doc))
+    assert invoke_json("orbit-identify", "--file", str(path)) == {
+        "mu": [2], "nu": []}
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter has no int-string digit limit")
+def test_cap_refusal_of_an_over_long_sum_is_one_error_line():
+    """Two JSON ints each within the int-string digit limit sum past it;
+    formatting that sum in the refusal once raised a Traceback."""
+    big = "9" * sys.get_int_max_str_digits()
+    twice = f"[{big},{big}]"
+    cases = [((command, "--mu", twice, "--nu", "[]"), "rank_cap")
+             for command in ("phic", "collapse", "filtration-dims",
+                             "representative")]
+    cases += [(("kostant", "--kind", "p", "--mu", twice), "degree_cap"),
+              (("mult", "--mu", twice, "--lambda", "[0,0]"), "degree_cap"),
+              (("mult", "--mu", "[0,0]", "--lambda", twice), "degree_cap"),
+              (("weights", "--mu", twice), "degree_cap")]
+    for argv, knob in cases:
+        code, out, err = invoke(*argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert f"(config knob: {knob})" in err and "Traceback" not in err
+    # an ordinary value still prints in decimal
+    assert invoke("phic", "--mu", "[5,5]", "--nu", "[]") == (
+        1, "", "error: n=10 exceeds rank_cap=8 (config knob: rank_cap)\n")
+
+
 def test_deeply_nested_json_is_one_error_line(tmp_path):
     nested = "[" * 100_000
     path = tmp_path / "pair.json"

@@ -61,9 +61,15 @@ def matrices(rows, cols):
 
 def test_frac_parses_strings():
     assert frac("3/4") == Fraction(3, 4)
+    assert frac("-6/8") == Fraction(-3, 4) and frac("-12") == -12
     assert frac(7) == 7
     with pytest.raises(DomainError):
         frac("1/0")
+    # only ASCII -?[0-9]+(/[0-9]+)?, not the rest of Fraction's grammar
+    for text in ("1e5000", "0.5", " 1", "1 ", "1_000", "+2", "٣",
+                 "1/-2", "-", "", "3/", "1\n"):
+        with pytest.raises(DomainError, match="not an exact rational"):
+            frac(text)
     with pytest.raises(DomainError):
         frac(1.5)
     with pytest.raises(DomainError):
