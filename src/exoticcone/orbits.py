@@ -532,17 +532,28 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
 class IsotropicFiltration(Record, uncompared=("orbit",)):
     """Chain of subspaces V_{>= a} keyed by the index a, stored over the
     saturated range; outside it the chain is the full space or zero.
-    The constructor takes each level as any spanning rows and stores it in
-    the canonical form of ``span``. ``adapted_filtration`` builds every
-    level in that form already and hands the levels over through
-    ``_of_canonical``, which trusts them and eliminates none again,
-    together with the orbit of the pair; equality ignores the orbit."""
+    The constructor takes each level as any spanning rows of length
+    ``space.dim`` and stores it in the canonical form of ``span``.
+    ``adapted_filtration`` builds every level in that form already and
+    hands the levels over through ``_of_canonical``, which trusts them and
+    eliminates none again, together with the orbit of the pair; equality
+    ignores the orbit.
+
+    ``_checked_for`` is the pair whose own form ``adapted_filtration``
+    verified this filtration against, or None. It lives in the instance
+    dict, so equality, hashing and repr do not see it, and it is a
+    reference, not an id, which a freed pair could pass on."""
 
     space: SymplecticSpace
     subspaces: tuple  # sorted ((a, Subspace), ...)
     orbit: Bipartition | None = None
+    _checked_for = None
 
     def __post_init__(self):
+        d = self.space.dim
+        if any(len(row) != d for _, sub in self.subspaces for row in sub):
+            raise DomainError(
+                f"every row of a filtration level must have length {d}")
         self._store(tuple((a, span(sub)) for a, sub in self.subspaces))
 
     @classmethod
@@ -600,9 +611,20 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     omega(V_{>= a}, V_{>= 1-a}) = 0 for a >= 1, with the two dimensions
     adding up to 2n. The form is nondegenerate, so V_{>= 1-a} lies in
     perp(V_{>= a}) and has its dimension, which makes the two equal; and
-    omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once."""
+    omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once.
+
+    On the filtration that ``adapted_filtration`` returned, asked about
+    the same pair object, carrying its own form, and the orbit that the
+    filtration records, this answers from the check already made there.
+    Every other call checks in full. A filtration and a pair of different
+    dimensions raise DomainError."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
+    if filt.space.dim != pair.dim:
+        raise DomainError(f"filtration of dimension {filt.space.dim} "
+                          f"checked against a pair of dimension {pair.dim}")
+    if filt._checked_for is pair and b == filt.orbit:
+        return True
     return _verify(filt, pair, pair.space, filtration_dims(b))
 
 
@@ -653,7 +675,10 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
 
     A pair without a form gets the one ``solve_symplectic_form`` finds,
     after the membership checks and before the orbit; the filtration
-    carries the form it was built with.
+    carries the form it was built with. For a pair with its own form, the
+    filtration records the pair it was checked against, and
+    ``verify_adapted`` on that same pair object and orbit answers from
+    this check instead of making it again.
     """
     _check_in_cone(pair)
     space = pair.space or SymplecticSpace(
@@ -690,6 +715,8 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     if not _verify(filt, pair, space, profile):
         raise InternalInconsistency(
             f"the weight filtration of N fails verification for orbit {b}")
+    if space is pair.space:
+        object.__setattr__(filt, "_checked_for", pair)
     return filt
 
 

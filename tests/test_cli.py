@@ -7,6 +7,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import check_adapted
+
 from exoticcone import config, orbits
 from exoticcone.cli import COMMANDS, run
 from exoticcone.config import ENV_VAR, Config, load_config
@@ -151,6 +153,30 @@ def test_orbit_identify_and_adapted():
     assert doc2["omega_solved"] is True
     assert doc2["verified"] is True
     assert "omega" in doc2
+
+
+def test_adapted_prints_a_filtration_that_verifies_on_every_pair_file(
+        tmp_path):
+    """``"verified"`` is a constant of the output, so the printed levels
+    are checked apart from it (``check_adapted``): rebuilt by the public
+    constructor, which records no check, on every tests/data pair file
+    as given and without its form, the latter with the printed form."""
+    names = sorted(name for name in os.listdir(DATA)
+                   if name.startswith("pair_") and name.endswith(".json"))
+    assert len(names) == 6
+    path = tmp_path / "pair.json"
+    for name in names:
+        with open(os.path.join(DATA, name), encoding="utf-8") as handle:
+            doc = json.load(handle)
+        formless = {key: value for key, value in doc.items()
+                    if key != "omega"}
+        for pair_doc in [doc, formless] if "omega" in doc else [doc]:
+            path.write_text(json.dumps(pair_doc))
+            out = invoke_json("adapted", "--file", str(path))
+            assert out["omega_solved"] is ("omega" not in pair_doc)
+            filt, _, _ = check_adapted.printed_filtration(pair_doc, out)
+            assert filt._checked_for is None
+            assert check_adapted.problem(pair_doc, out) is None, name
 
 
 def test_representative_round_trip(tmp_path):

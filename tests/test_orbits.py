@@ -522,6 +522,40 @@ def test_filtration_refuses_levels_that_are_not_a_run():
             IsotropicFiltration(space=rep.space, subspaces=broken)
 
 
+def test_filtration_refuses_rows_of_the_wrong_length():
+    """On rep(1 | 1), d = 4: levels whose rows are all padded by two
+    zeros, or one level with one short row, are refused when the
+    filtration is built. The padded rows were accepted and verified, as
+    zip dropped the extra columns; a short row raised IndexError."""
+    rep = representative(bipartition((1,), (1,)))
+    levels = adapted_filtration(rep).subspaces
+    padded = tuple((a, [[*row, 0, 0] for row in sub]) for a, sub in levels)
+    short = tuple((a, [list(row) for row in sub]) for a, sub in levels)
+    next(rows for _, rows in short if rows)[-1].pop()
+    for broken in (padded, short):
+        with pytest.raises(DomainError, match="length 4"):
+            IsotropicFiltration(space=rep.space, subspaces=broken)
+
+
+def test_verify_adapted_refuses_a_pair_of_another_dimension():
+    """The adapted filtration of each orbit with n <= 3, checked against
+    the representative of each orbit of another rank with n <= 3, under
+    either orbit, raises DomainError: 320 cases, of which 52 raised
+    IndexError and the rest returned False."""
+    reps = [representative(b) for n in range(1, 4) for b in enumerate_Q(n)]
+    cases = 0
+    for rep in reps:
+        filt = adapted_filtration(rep)
+        for other in reps:
+            if other.n == rep.n:
+                continue
+            for b in (filt.orbit, orbit_of(other)):
+                with pytest.raises(DomainError, match="dimension"):
+                    verify_adapted(filt, other, b)
+                cases += 1
+    assert cases == 320
+
+
 def test_verify_adapted_accepts_any_spanning_rows():
     b = bipartition((1,), (1,))
     pair = representative(b)
@@ -649,21 +683,8 @@ def test_verify_adapted_rejects_a_foreign_form_by_duality_alone():
     for n in range(1, 4):
         for b in enumerate_Q(n):
             rep = representative(b)
-            d = rep.dim
-            om = rep.space.omega_rows()
-            om_inv = inverse(om)
-            basis = centralizer_basis(rep.x_rows())
             filt = adapted_filtration(rep)
-            for _ in range(5):
-                coeffs = [rng.randint(-2, 2) for _ in basis]
-                y = [[sum(k * m[i][j] for k, m in zip(coeffs, basis))
-                      for j in range(d)] for i in range(d)]
-                y_star = mat_mul(om_inv, mat_mul(transpose(y), om))
-                c = [[int(i == j) + y[i][j] + y_star[i][j]
-                      for j in range(d)] for i in range(d)]
-                if det(c) == 0:
-                    continue
-                space = SymplecticSpace(n=n, omega=mat_mul(om, c))
+            for space in _foreign_forms(rep, rng, 5):
                 pair = ExoticPair(v=rep.v, x=rep.x, space=space)
                 assert in_exotic_cone(pair) and orbit_of(pair) == b
                 got = verify_adapted(filt, pair, b)
@@ -672,6 +693,69 @@ def test_verify_adapted_rejects_a_foreign_form_by_duality_alone():
                 verdicts.append(got)
     # 69 of the 85 tries give an invertible c; 13 of the forms move V_{>= 1}
     assert len(verdicts) == 69 and verdicts.count(False) == 13
+
+
+def _foreign_forms(pair, rng, tries):
+    """One form omega c, with c = 1 + y + y* for the pair's omega as in
+    the foreign-form test above, for each of the tries whose c is
+    invertible."""
+    d = pair.dim
+    om = pair.space.omega_rows()
+    om_inv = inverse(om)
+    basis = centralizer_basis(pair.x_rows())
+    for _ in range(tries):
+        coeffs = [rng.randint(-2, 2) for _ in basis]
+        y = [[sum(k * m[i][j] for k, m in zip(coeffs, basis))
+              for j in range(d)] for i in range(d)]
+        y_star = mat_mul(om_inv, mat_mul(transpose(y), om))
+        c = [[int(i == j) + y[i][j] + y_star[i][j]
+              for j in range(d)] for i in range(d)]
+        if det(c) != 0:
+            yield SymplecticSpace(n=pair.n, omega=mat_mul(om, c))
+
+
+def test_verify_adapted_answers_from_the_check_already_made(monkeypatch):
+    """``adapted_filtration`` then ``verify_adapted`` on the same pair
+    object and orbit runs ``_verify`` once, on a conjugate of every orbit
+    with n <= 3. Each other call runs it in full and agrees with the perps
+    oracle: an equal but distinct pair, the next orbit of the same rank,
+    the filtration rebuilt by the constructor, and the pair under a
+    foreign form (``_foreign_forms``)."""
+    from exoticcone import orbits
+
+    calls = []
+    verify = orbits._verify
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(orbits, "_verify", counted)
+    rng = random.Random(0)
+    for n in range(1, 4):
+        bs = enumerate_Q(n)
+        for i, b in enumerate(bs):
+            rep = representative(b)
+            pair = conjugate_pair(rep, random_symplectic(rep.space, n))
+            calls.clear()
+            filt = adapted_filtration(pair)
+            assert verify_adapted(filt, pair, b)
+            assert len(calls) == 1, b
+            space = next(_foreign_forms(pair, rng, 5))
+            for args in (
+                    (filt, ExoticPair(v=pair.v, x=pair.x, space=pair.space),
+                     b),
+                    (filt, pair, bs[(i + 1) % len(bs)]),
+                    (IsotropicFiltration(space=filt.space,
+                                         subspaces=filt.subspaces), pair, b),
+                    (filt, ExoticPair(v=pair.v, x=pair.x, space=space), b)):
+                calls.clear()
+                got = verify_adapted(*args)
+                assert len(calls) == 1, (b, args)
+                assert got == oracles.verify_adapted_by_perps(*args), args
+            # the record outlives the other calls
+            calls.clear()
+            assert verify_adapted(filt, pair, b) and not calls, b
 
 
 def _weight_map(pair):
