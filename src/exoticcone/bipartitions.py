@@ -179,24 +179,24 @@ def collapse(b: Bipartition) -> Bipartition:
 
 
 class FiltrationProfile(Record):
-    """Dimensions dim V_{>= a} over the saturated index range."""
+    """Dimensions dim V_{>= a} over the saturated index range, one entry
+    per index from lo up, so dim V_{>= a} is entry a - lo."""
 
     n: int
-    levels: tuple  # sorted ((a, dim), ...) covering the full range
-
-    def __post_init__(self):
-        object.__setattr__(self, "_by_index", dict(self.levels))
+    levels: tuple  # ((lo, dim), (lo + 1, dim), ...) over the full range
 
     def dim(self, a: int) -> int:
         # below the range the level is the whole space, above it zero
-        outside = 2 * self.n if a < self.levels[0][0] else 0
-        return self._by_index.get(a, outside)
+        lo, hi = self.levels[0][0], self.levels[-1][0]
+        if a < lo:
+            return 2 * self.n
+        return self.levels[a - lo][1] if a <= hi else 0
 
     def items(self):
         return list(self.levels)
 
     def as_dict(self) -> dict:
-        return dict(self._by_index)
+        return dict(self.levels)
 
 
 @lru_cache(maxsize=256)

@@ -186,10 +186,10 @@ class ExoticPair(Record):
     def v_vec(self):
         return list(self.v)
 
-    # What the classification of the pair computes, kept with the pair so
-    # that orbit_of, exv_module, in_exotic_cone, adapted_filtration and
-    # verify_adapted each compute it at most once. The cached values live
-    # in the instance dict: equality and hashing still see only the fields.
+    # What the classification of the pair computes, and the verified
+    # adapted filtration, kept with the pair so that each is computed at
+    # most once. The cached values live in the instance dict: equality
+    # and hashing still see only the fields.
 
     @cached_property
     def _int_x(self):
@@ -218,6 +218,11 @@ class ExoticPair(Record):
         """x is self-adjoint for the attached form (``form_compatible``);
         True when no form is attached."""
         return self.space is None or form_compatible(self._int_x, self.space)
+
+    @cached_property
+    def _adapted(self) -> IsotropicFiltration:
+        """``adapted_filtration``, read after ``_check_in_cone``."""
+        return _weight_filtration(self)
 
 
 make_pair = ExoticPair
@@ -530,24 +535,19 @@ def perp(sub: Subspace, space: SymplecticSpace) -> Subspace:
 
 
 class IsotropicFiltration(Record, uncompared=("orbit",)):
-    """Chain of subspaces V_{>= a} keyed by the index a, stored over the
-    saturated range; outside it the chain is the full space or zero.
-    The constructor takes each level as any spanning rows of length
-    ``space.dim`` and stores it in the canonical form of ``span``.
+    """Chain of subspaces V_{>= a} over the saturated range, stored as one
+    run of consecutive indices, so V_{>= a} is entry a - lo; outside the
+    range the chain is the full space or zero. The constructor takes each
+    level as any spanning rows of length ``space.dim``, in the canonical
+    form of ``span``.
     ``adapted_filtration`` builds every level in that form already and
     hands the levels over through ``_of_canonical``, which trusts them and
     eliminates none again, together with the orbit of the pair; equality
-    ignores the orbit.
-
-    ``_checked_for`` is the pair whose own form ``adapted_filtration``
-    verified this filtration against, or None. It lives in the instance
-    dict, so equality, hashing and repr do not see it, and it is a
-    reference, not an id, which a freed pair could pass on."""
+    ignores the orbit."""
 
     space: SymplecticSpace
-    subspaces: tuple  # sorted ((a, Subspace), ...)
+    subspaces: tuple  # ((lo, Subspace), (lo + 1, Subspace), ...)
     orbit: Bipartition | None = None
-    _checked_for = None
 
     def __post_init__(self):
         d = self.space.dim
@@ -573,15 +573,12 @@ class IsotropicFiltration(Record, uncompared=("orbit",)):
             raise DomainError("filtration levels must be a nonempty run of "
                               f"consecutive increasing int indices: {indices}")
         object.__setattr__(self, "subspaces", levels)
-        object.__setattr__(self, "_by_index", dict(levels))
 
     def level(self, a: int) -> Subspace:
-        lo, hi = self.subspaces[0][0], self.subspaces[-1][0]
+        lo, hi = self.range()
         if a < lo:
             return full_space(self.space.dim)
-        if a > hi:
-            return zero_space()
-        return self._by_index[a]
+        return self.subspaces[a - lo][1] if a <= hi else zero_space()
 
     def range(self):
         return self.subspaces[0][0], self.subspaces[-1][0]
@@ -613,48 +610,47 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     perp(V_{>= a}) and has its dimension, which makes the two equal; and
     omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once.
 
-    On the filtration that ``adapted_filtration`` returned, asked about
-    the same pair object, carrying its own form, and the orbit that the
-    filtration records, this answers from the check already made there.
-    Every other call checks in full. A filtration and a pair of different
-    dimensions raise DomainError."""
+    On the filtration kept with this pair object (``ExoticPair._adapted``,
+    from ``adapted_filtration``) and the orbit it records, this answers
+    from the check made there; every other call checks in full. A pair
+    outside the exotic cone raises the DomainError of ``orbit_of``, as do
+    a pair without a form and a pair of another dimension."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
     if filt.space.dim != pair.dim:
         raise DomainError(f"filtration of dimension {filt.space.dim} "
                           f"checked against a pair of dimension {pair.dim}")
-    if filt._checked_for is pair and b == filt.orbit:
+    _check_in_cone(pair)
+    if pair.__dict__.get("_adapted") is filt and b == filt.orbit:
         return True
     return _verify(filt, pair, pair.space, filtration_dims(b))
 
 
 def _verify(filt, pair, space, profile) -> bool:
-    """``verify_adapted`` against the profile of b and the form of
-    space."""
+    """``verify_adapted`` against the profile of b and the form of space,
+    reading both chains by index (lo = 1 - hi in every profile). V_{>= lo}
+    lies in the whole space: the constructor refuses other row lengths."""
     lo, hi = profile.levels[0][0], profile.levels[-1][0]
-    flo, fhi = filt.range()
-    if (flo, fhi) != (lo, hi):
+    if filt.range() != (lo, hi):
         return False
-    xi = pair._int_x
-    for a in range(lo, hi + 1):
-        if sub_dim(filt.level(a)) != profile.dim(a):
+    levels = [sub for _, sub in filt.subspaces] + [(), ()]  # zero past hi
+    for i, ((_, dim), sub) in enumerate(zip(profile.levels, levels)):
+        if sub_dim(sub) != dim:
             return False
-        if not sub_leq(filt.level(a), filt.level(a - 1)):
+        if i and not sub_leq(sub, levels[i - 1]):
             return False
-        if not _maps_into(xi, filt.level(a), filt.level(a + 2)):
+        if not _maps_into(pair._int_x, sub, levels[i + 2]):
             return False
     om = space.int_omega
     for a in range(1, hi + 1):
-        dual = filt.level(1 - a)
-        if sub_dim(filt.level(a)) + sub_dim(dual) != pair.dim:
+        sub, dual = levels[a - lo], levels[1 - a - lo]
+        if sub_dim(sub) + sub_dim(dual) != pair.dim:
             return False
-        for u in filt.level(a):
+        for u in sub:
             w = mat_vec(om, u)
             if any(sum(map(mul, w, y)) for y in dual):
                 return False
-    if not contains(filt.level(1), pair.v_vec()):
-        return False
-    return True
+    return contains(levels[1 - lo], pair.v_vec())
 
 
 def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
@@ -663,7 +659,9 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     and checked by ``_verify`` before it is returned.
 
     The powers of x, E^x v and the orbit come from the pair's cache, so a
-    pair that ``orbit_of`` has classified is not classified again. The
+    pair that ``orbit_of`` has classified is not classified again; the
+    verified filtration is kept there too (``ExoticPair._adapted``), so a
+    second call returns the same object. The
     construction takes one perp for each level a >= 1, and the check takes
     none (see ``verify_adapted``). Every level comes out of ``int_span``,
     ``perp``, ``map_image`` or ``sub_intersect`` in canonical form, so the
@@ -675,12 +673,14 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
 
     A pair without a form gets the one ``solve_symplectic_form`` finds,
     after the membership checks and before the orbit; the filtration
-    carries the form it was built with. For a pair with its own form, the
-    filtration records the pair it was checked against, and
-    ``verify_adapted`` on that same pair object and orbit answers from
-    this check instead of making it again.
+    carries the form it was built with.
     """
     _check_in_cone(pair)
+    return pair._adapted
+
+
+def _weight_filtration(pair: ExoticPair) -> IsotropicFiltration:
+    """``adapted_filtration`` of a pair in the exotic cone."""
     space = pair.space or SymplecticSpace(
         n=pair.n, omega=solve_symplectic_form(pair._int_x))
     b = pair._orbit
@@ -715,8 +715,6 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     if not _verify(filt, pair, space, profile):
         raise InternalInconsistency(
             f"the weight filtration of N fails verification for orbit {b}")
-    if space is pair.space:
-        object.__setattr__(filt, "_checked_for", pair)
     return filt
 
 

@@ -3,8 +3,8 @@ its ``"verified"`` field: rebuild the filtration from the printed levels
 through the public constructor, on a fresh pair that takes the printed
 form when the form was solved, and require ``orbit_of`` to give the
 printed orbit and both ``verify_adapted`` and the perps oracle to accept
-it. A filtration built by the constructor records no check, so
-``verify_adapted`` checks it in full.
+it. The fresh pair keeps no filtration of its own, so ``verify_adapted``
+checks the rebuilt one in full.
 
     python tests/check_adapted.py PAIR_FILE ADAPTED_STDOUT_FILE
 

@@ -156,11 +156,20 @@ def test_orbit_identify_and_adapted():
 
 
 def test_adapted_prints_a_filtration_that_verifies_on_every_pair_file(
-        tmp_path):
+        tmp_path, monkeypatch):
     """``"verified"`` is a constant of the output, so the printed levels
     are checked apart from it (``check_adapted``): rebuilt by the public
-    constructor, which records no check, on every tests/data pair file
-    as given and without its form, the latter with the printed form."""
+    constructor, on a fresh pair, so that ``verify_adapted`` runs the
+    full check, on every tests/data pair file as given and without its
+    form, the latter with the printed form."""
+    calls = []
+    verify = orbits._verify
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(orbits, "_verify", counted)
     names = sorted(name for name in os.listdir(DATA)
                    if name.startswith("pair_") and name.endswith(".json"))
     assert len(names) == 6
@@ -174,9 +183,9 @@ def test_adapted_prints_a_filtration_that_verifies_on_every_pair_file(
             path.write_text(json.dumps(pair_doc))
             out = invoke_json("adapted", "--file", str(path))
             assert out["omega_solved"] is ("omega" not in pair_doc)
-            filt, _, _ = check_adapted.printed_filtration(pair_doc, out)
-            assert filt._checked_for is None
+            calls.clear()
             assert check_adapted.problem(pair_doc, out) is None, name
+            assert len(calls) == 1, name
 
 
 def test_representative_round_trip(tmp_path):

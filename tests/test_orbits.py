@@ -13,12 +13,14 @@ from exoticcone.bipartitions import (
     Bipartition,
     bipartition,
     enumerate_Q,
+    filtration_dims,
     orbit_dim,
     phiC,
 )
 from exoticcone.errors import DomainError, NotDoubled
 from exoticcone.linalg import (
     det,
+    full_space,
     identity,
     inverse,
     map_image,
@@ -758,6 +760,28 @@ def test_verify_adapted_answers_from_the_check_already_made(monkeypatch):
             assert verify_adapted(filt, pair, b) and not calls, b
 
 
+def test_verify_adapted_refuses_a_pair_outside_the_cone():
+    """(v, x) of a representative, re-formed under the standard form, is
+    outside the exotic cone when x is not self-adjoint for that form:
+    four representatives with n <= 3. ``verify_adapted`` then raises the
+    error of ``orbit_of`` instead of checking the filtration built for
+    the representative's own form, which the re-formed pair can pass."""
+    outside = []
+    for n in range(1, 4):
+        for b in enumerate_Q(n):
+            rep = representative(b)
+            pair = ExoticPair(v=rep.v, x=rep.x, space=standard_form(n))
+            if in_exotic_cone(pair):
+                continue
+            with pytest.raises(DomainError) as orbit_error:
+                orbit_of(pair)
+            with pytest.raises(DomainError) as verify_error:
+                verify_adapted(adapted_filtration(rep), pair, b)
+            assert str(verify_error.value) == str(orbit_error.value), b
+            outside.append(b)
+    assert len(outside) == 4
+
+
 def _weight_map(pair):
     """x + v omega(v, .), built from the pair's own entries."""
     om = pair.space.omega_rows()
@@ -808,7 +832,9 @@ def test_pair_is_classified_once(monkeypatch):
     filt = adapted_filtration(pair)
     assert verify_adapted(filt, pair, b)
     assert exv_module(pair) and in_exotic_cone(pair)
-    # once on x; adapted_filtration's one call is on its map N
+    # the filtration is kept with the pair too
+    assert adapted_filtration(pair) is filt
+    # once on x; adapted_filtration's one call, over both calls, is on N
     assert len(calls) == 2 and calls.count(pair._int_x) == 1
     assert calls[1] != pair._int_x
     assert len(form_checks) == 1
@@ -879,14 +905,28 @@ def test_adapted_then_verify_builds_one_profile_and_eliminates_no_level_twice(
 
 def test_adapted_levels_are_already_canonical():
     # adapted_filtration hands its levels over without a second
-    # elimination, which is sound only while each equals its span
+    # elimination, which is sound only while each equals its span; and
+    # both chains, read by index, give the whole space below their range
+    # and zero above it, checked two steps past each end
     for n in range(1, 6):
         for b in enumerate_Q(n):
             rep = representative(b)
             conj = conjugate_pair(rep, random_symplectic(rep.space, n))
+            profile = filtration_dims(b)
             for pair in (rep, conj):
                 filt = adapted_filtration(pair)
                 assert all(sub == span(sub) for _, sub in filt.subspaces), b
+                lo, hi = filt.range()
+                stored = dict(filt.subspaces)
+                for a in range(lo - 2, hi + 3):
+                    if a < lo:
+                        want, dim = full_space(2 * n), 2 * n
+                    elif a > hi:
+                        want, dim = (), 0
+                    else:
+                        want, dim = stored[a], sub_dim(stored[a])
+                    assert filt.level(a) == want, (b, a)
+                    assert profile.dim(a) == dim, (b, a)
 
 
 def test_as_dict_reads_the_reduced_rows_off_the_int_rows():
