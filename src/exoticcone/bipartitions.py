@@ -52,20 +52,12 @@ def bipartition(mu, nu) -> Bipartition:
 
 @lru_cache(maxsize=None)
 def partitions(k: int) -> tuple:
-    """All partitions of k, in descending lexicographic order."""
-    if k < 0:
-        return ()
-    out = []
-
-    def descend(prefix, remaining, top):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(min(top, remaining), 0, -1):
-            descend(prefix + [p], remaining - p, p)
-
-    descend([], k, k)
-    return tuple(out)
+    """All partitions of k, in descending lexicographic order: each first
+    part p from k down, then each cached partition of k - p with parts <= p."""
+    if k <= 0:
+        return ((),) if k == 0 else ()
+    return tuple((p,) + rest for p in range(k, 0, -1)
+                 for rest in partitions(k - p) if not rest or rest[0] <= p)
 
 
 def enumerate_Q(n: int) -> list:

@@ -17,6 +17,8 @@ The Freudenthal tables, one per highest weight, are kept by
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from . import config
 from .errors import InternalInconsistency
 from .kostant import counter
@@ -52,23 +54,15 @@ def weight_mult(mu, lam) -> int:
 
 
 def dominant_cone_weights(mu) -> list:
-    """Dominant weights lam with mu - lam in the positive-root cone,
-    i.e. all prefix sums of mu - lam nonnegative."""
+    """Dominant weights lam with mu - lam in the positive-root cone, i.e.
+    all prefix sums of mu - lam nonnegative, in descending lexicographic
+    order: each prefix grows by every part c the budget allows, c falling."""
     mu = require_dominant(mu, "mu")
-    n = len(mu)
-    out = []
-
-    def descend(prefix, used):
-        k = len(prefix)
-        if k == n:
-            out.append(tuple(prefix))
-            return
-        budget = sum(mu[: k + 1]) - used
-        top = min(prefix[-1] if prefix else budget, budget)
-        for c in range(top, -1, -1):
-            descend(prefix + [c], used + c)
-
-    descend([], 0)
+    out = [()]
+    for budget in accumulate(mu):
+        out = [lam + (c,) for lam in out
+               for c in range(min(lam[-1] if lam else budget,
+                                  budget - sum(lam)), -1, -1)]
     return out
 
 

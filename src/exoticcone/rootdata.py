@@ -192,29 +192,14 @@ def bwb(lam):
 
 
 def weyl_orbit(mu) -> set:
-    """The set {w(mu)}; closure of mu under the simple reflections."""
-    mu = tuple(mu)
-    n = len(mu)
-    seen = {mu}
-    frontier = [mu]
-    while frontier:
-        fresh = []
-        for v in frontier:
-            images = []
-            for i in range(n - 1):
-                u = list(v)
-                u[i], u[i + 1] = u[i + 1], u[i]
-                images.append(tuple(u))
-            if n:
-                u = list(v)
-                u[-1] = -u[-1]
-                images.append(tuple(u))
-            for u in images:
-                if u not in seen:
-                    seen.add(u)
-                    fresh.append(u)
-        frontier = fresh
-    return seen
+    """The set {w(mu)}: every arrangement of the entries of mu, each with
+    either sign, built by inserting the absolute values at every position
+    with both signs, smallest first, while the set is still small."""
+    orbit = {()}
+    for c in sorted(map(abs, mu)):
+        orbit = {v[:i] + s + v[i:] for v in orbit
+                 for i in range(len(v) + 1) for s in ((c,), (-c,))}
+    return orbit
 
 
 def in_root_cone(vec) -> bool:

@@ -4,9 +4,9 @@ bundles on the resolution of the exotic nilpotent cone.
 Route A (``h0_mult``) evaluates the alternating Weyl sum of exotic
 partition counts at w(mu + rho) - (lam + rho). Route B
 (``h0_mult_subsets``) evaluates the equivalent 2^n-term sum of weight
-multiplicities m_mu(lam + e_S) through the Freudenthal oracle, so the two
-routes share no kernel. Both are first-class API; the CLI can emit both
-with a diff.
+multiplicities m_mu(lam + e_S), validating mu and lam once and reading
+every term off the one Freudenthal table of mu, so the two routes share
+no kernel. Both are first-class API; the CLI can emit both with a diff.
 
 The space of sections is an infinite direct sum over dominant mu;
 ``h0_decompose`` reports the finitely many mu inside a degree window and
@@ -22,27 +22,32 @@ from __future__ import annotations
 
 import itertools
 
-from .characters import _add, dominant_cone_weights, weight_mult_oracle
+from .characters import _add, _freudenthal_table, dominant_cone_weights
 from .errors import InternalInconsistency
 from .kostant import counter
 from .rootdata import (
     alternating_sum,
     check_same_rank,
+    dominant_rep,
     in_conv,
     require_dominant,
 )
+
+
+def _nonnegative(total: int, mu, lam) -> int:
+    if total < 0:
+        raise InternalInconsistency(
+            f"negative section multiplicity {total} at mu={mu}, lam={lam}"
+        )
+    return total
 
 
 def h0_mult(mu, lam) -> int:
     """Multiplicity of V_mu in the sections of the bundle twisted by lam."""
     mu = require_dominant(mu, "mu")
     lam = require_dominant(lam, "lambda")
-    total = alternating_sum(mu, lam, counter(len(mu), exotic=True))
-    if total < 0:
-        raise InternalInconsistency(
-            f"negative section multiplicity {total} at mu={mu}, lam={lam}"
-        )
-    return total
+    return _nonnegative(
+        alternating_sum(mu, lam, counter(len(mu), exotic=True)), mu, lam)
 
 
 def h0_mult_subsets(mu, lam) -> int:
@@ -51,15 +56,12 @@ def h0_mult_subsets(mu, lam) -> int:
     mu = require_dominant(mu, "mu")
     lam = require_dominant(lam, "lambda")
     check_same_rank(mu, lam)
-    n = len(mu)
-    total = 0
-    for picks in itertools.product((0, 1), repeat=n):
-        total += weight_mult_oracle(mu, _add(lam, picks))
-    if total < 0:
-        raise InternalInconsistency(
-            f"negative section multiplicity {total} at mu={mu}, lam={lam}"
-        )
-    return total
+    # a memo clear never empties a table, so this one stays whole
+    table = _freudenthal_table(mu)
+    return _nonnegative(
+        sum(table.get(dominant_rep(_add(lam, picks)), 0)
+            for picks in itertools.product((0, 1), repeat=len(mu))),
+        mu, lam)
 
 
 def dominant_weights_of_degree(n: int, k: int) -> list:

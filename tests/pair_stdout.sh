@@ -9,6 +9,8 @@ set -eu
 # a fixed glob order
 export LC_ALL=C
 cd "$(dirname "$0")/.."
+# run the checkout's package, installed or not
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 for path in tests/data/pair_*.json; do

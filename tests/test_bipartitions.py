@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -44,7 +45,30 @@ def test_as_partition_rejects_parts_that_are_not_ints():
         representative(bipartition((1.9,), ()))
 
 
+def _brute_partitions(k: int) -> list:
+    """The partitions of k in descending lexicographic order, from the
+    2^(k-1) compositions of k that do not rise."""
+    if k == 0:
+        return [()]
+    out = []
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        parts, run = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(run)
+                run = 0
+            run += 1
+        parts.append(run)
+        if all(a >= b for a, b in zip(parts, parts[1:])):
+            out.append(tuple(parts))
+    return sorted(out, reverse=True)
+
+
 def test_enumerate_Q_examples():
+    """Also, order included: partitions(k) is the brute-force list for
+    k <= 12, and enumerate_Q(n) the brute-force product for n <= 6.
+    Dropping the filter that keeps the parts of the rest at most the
+    first part makes it fail."""
     assert enumerate_Q(0) == [Bipartition((), ())]
     assert enumerate_Q(1) == [
         Bipartition((1,), ()),
@@ -59,6 +83,13 @@ def test_enumerate_Q_examples():
         )
         assert len(enumerate_Q(n)) == expected
         assert len(set(enumerate_Q(n))) == expected
+    brute = [_brute_partitions(k) for k in range(13)]
+    assert [list(partitions(k)) for k in range(13)] == brute
+    assert partitions(-1) == ()
+    for n in range(7):
+        assert enumerate_Q(n) == [Bipartition(mu, nu)
+                                  for k in range(n, -1, -1)
+                                  for mu in brute[k] for nu in brute[n - k]]
 
 
 def test_closure_leq_examples():

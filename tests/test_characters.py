@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from exoticcone.errors import DomainError, InternalInconsistency
 from exoticcone.rootdata import (
     dominant_rep,
     in_conv,
+    is_dominant,
     signed_permutations,
     weyl_orbit,
 )
@@ -117,6 +120,10 @@ def test_sum_over_hull_is_dimension():
 
 
 def test_dominant_cone_weights_is_prefix_condition():
+    """Also, as a list in descending lexicographic order, equal to a
+    brute-force filter by prefix sums over every dominant mu with n <= 4
+    and |mu| <= 6. Stopping the range of the next part at 1 instead of 0
+    makes it fail."""
     got = dominant_cone_weights((2, 1))
     assert (2, 1) in got and (1, 0) in got and (0, 0) in got
     for lam in got:
@@ -124,6 +131,17 @@ def test_dominant_cone_weights_is_prefix_condition():
         for a, b in zip((2, 1), lam):
             run += a - b
             assert run >= 0
+    for n in range(5):
+        for mu in itertools.product(range(6, -1, -1), repeat=n):
+            if not is_dominant(mu) or sum(mu) > 6:
+                continue
+            # product over falling ranges runs in descending lex order
+            want = [lam for lam in itertools.product(
+                        range(mu[0], -1, -1) if n else (), repeat=n)
+                    if is_dominant(lam)
+                    and all(s >= 0 for s in itertools.accumulate(
+                        a - b for a, b in zip(mu, lam)))]
+            assert dominant_cone_weights(mu) == want
 
 
 def test_non_dominant_mu_rejected():

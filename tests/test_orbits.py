@@ -19,6 +19,7 @@ from exoticcone.bipartitions import (
 )
 from exoticcone.errors import DomainError, NotDoubled
 from exoticcone.linalg import (
+    contains,
     det,
     full_space,
     identity,
@@ -507,6 +508,35 @@ def test_verify_adapted_rejects_perturbations(sample_pair_with_form):
         space=pair.space,
     )
     assert not verify_adapted(filt, moved, b)
+
+
+def test_verify_adapted_rejects_a_chain_that_is_not_nested():
+    """On rep(2 | ∅), n = 2 (x e_2 = e_1, x e_4 = e_3, v = e_2,
+    omega(e_1, e_4) = omega(e_2, e_3) = 1): V_{>=3} = <e_1>, V_{>=2} =
+    <e_3>, V_{>=1} = <e_2, e_3> and the perps below them have the
+    profile's dimensions, satisfy x V_{>=a} in V_{>=a+2} and v in V_{>=1},
+    and are dual by construction, but V_{>=3} is not in V_{>=2} and
+    V_{>=1} is not isotropic. Only the nesting check refuses the chain:
+    with it replaced by ``if False:`` the library accepts it."""
+    b = bipartition((2,), ())
+    pair = representative(b)
+    e = [[int(k == i) for k in range(4)] for i in range(4)]
+    levels = {4: (), 3: span([e[0]]), 2: span([e[2]]),
+              1: span([e[1], e[2]])}
+    for a in range(0, -4, -1):
+        levels[a] = perp(levels[1 - a], pair.space)
+    profile = filtration_dims(b)
+    assert [a for a, _ in profile.levels] == sorted(levels)
+    for a, dim in profile.levels:
+        assert sub_dim(levels[a]) == dim
+        assert _maps_into(pair._int_x, levels[a], levels.get(a + 2, ()))
+    assert contains(levels[1], pair.v_vec())
+    assert not sub_leq(levels[3], levels[2])
+    assert not sub_leq(levels[1], levels[0])
+    filt = IsotropicFiltration(space=pair.space,
+                               subspaces=tuple(sorted(levels.items())))
+    assert not verify_adapted(filt, pair, b)
+    assert not oracles.verify_adapted_by_perps(filt, pair, b)
 
 
 def test_filtration_refuses_levels_that_are_not_a_run():

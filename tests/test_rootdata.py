@@ -176,9 +176,16 @@ def test_alternating_sum_matches_signed_permutation_loop(n):
 
 
 def test_weyl_orbit_examples():
+    """Also {w(mu)} over the 2^n n! signed permutations, for every mu in
+    [-2, 2]^n with n <= 4. Dropping one sign choice from the insertion
+    makes it fail."""
     assert weyl_orbit((0, 0)) == {(0, 0)}
     assert weyl_orbit((1, 0)) == {(1, 0), (-1, 0), (0, 1), (0, -1)}
     assert weyl_orbit((1, 1)) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    for n in range(5):
+        group = list(signed_permutations(n))
+        for mu in itertools.product(range(-2, 3), repeat=n):
+            assert weyl_orbit(mu) == {w.act(mu) for w in group}
 
 
 @given(weights(3, 3))

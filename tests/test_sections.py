@@ -323,7 +323,7 @@ def test_shared_memo_budget_under_threads(frequent_switches, monkeypatch):
                for j in range(k + 1)
                for lam in dominant_weights_of_degree(n, j)
                for f in (weight_mult, characters.weight_mult_oracle,
-                         h0_mult)]
+                         h0_mult, h0_mult_subsets)]
     expected = [f(mu, lam) for f, mu, lam in queries]
     monkeypatch.setattr(config, "memo_cap", 8)
     _cold_memos()
@@ -331,6 +331,27 @@ def test_shared_memo_budget_under_threads(frequent_switches, monkeypatch):
         for _ in range(3):
             got = pool.map(lambda q: q[0](q[1], q[2]), queries, timeout=60)
             assert list(got) == expected
+
+
+def test_route_b_builds_one_table_per_call(monkeypatch):
+    """With no table kept (memo_cap = 1), route B at mu = (2, 1, 1, 0)
+    builds and stores one Freudenthal table for its 16 subset terms, not
+    one per term."""
+    want = h0_mult((2, 1, 1, 0), (1, 0, 0, 0))
+    keys = []
+    store = config.store
+
+    def counting_store(memo, key, value, size=1):
+        if memo is characters._tables:
+            keys.append(key)
+        return store(memo, key, value, size)
+
+    monkeypatch.setattr(config, "memo_cap", 1)
+    monkeypatch.setattr(config, "store", counting_store)
+    characters._tables.clear()
+    assert h0_mult_subsets((2, 1, 1, 0), (1, 0, 0, 0)) == want
+    assert keys == [(2, 1, 1, 0)]
+    assert characters._tables == {}
 
 
 def test_store_recounts_a_memo_cleared_by_hand(monkeypatch):
