@@ -144,14 +144,14 @@ def _echelon(m: list) -> tuple[list, int]:
     one that is nonzero there. Every other row with a nonzero entry f in
     the pivot column becomes (p * row - f * pivot_row) // q, where p is
     the pivot and q the pivot that row was last divided by (1 at the
-    start). A row that is zero in the pivot column is left as it is,
-    with its q: the Bareiss step would only scale it by p over the
-    previous pivot, and dividing by its own q at its next update gives
-    the same result. So every stored row is the Bareiss row of the step
-    at which it was last updated, whose entries are minors of m
-    (Sylvester's identity): each division is exact, and entries grow
-    only as minors do. A pivot row is scaled up to the current step
-    before use.
+    start, where the division is skipped). A row that is zero in the
+    pivot column is left as it is, with its q: the Bareiss step would
+    only scale it by p over the previous pivot, and dividing by its own
+    q at its next update gives the same result. So every stored row is
+    the Bareiss row of the step at which it was last updated, whose
+    entries are minors of m (Sylvester's identity): each division is
+    exact, and entries grow only as minors do. A pivot row is scaled up
+    to the current step before use.
 
     Afterwards the first len(pivots) rows are the pivot rows, each
     holding in its pivot column the pivot it was last divided by, and
@@ -167,8 +167,10 @@ def _echelon(m: list) -> tuple[list, int]:
     prev = 1
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pivot is None:
+        for pivot in range(r, nrows):
+            if m[pivot][c]:
+                break
+        else:
             continue
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
@@ -184,7 +186,10 @@ def _echelon(m: list) -> tuple[list, int]:
             f = row[c]
             if f and i != r:
                 q = last[i]
-                m[i] = [(p * x - f * y) // q for x, y in zip(row, prow)]
+                if q == 1:
+                    m[i] = [p * x - f * y for x, y in zip(row, prow)]
+                else:
+                    m[i] = [(p * x - f * y) // q for x, y in zip(row, prow)]
                 last[i] = p
         last[r] = prev = p
         pivots.append(c)
@@ -346,11 +351,16 @@ def sub_intersect(a: Subspace, b: Subspace, d: int) -> Subspace:
     )
 
 
-def map_image(x: Mat, s: Subspace) -> Subspace:
-    """x applied to the subspace s; x is scaled to ints unless it
-    already is (``int_multiple``)."""
-    xi = int_multiple(x)
+def _int_image(xi: Mat, s: Subspace) -> Subspace:
+    """The int map xi applied to the subspace s. The caller scales xi to
+    ints; it is not scanned here."""
     return int_span([mat_vec(xi, row) for row in s])
+
+
+def map_image(x: Mat, s: Subspace) -> Subspace:
+    """x applied to the subspace s. This scales x (``int_multiple`` scans
+    every entry) for ``_int_image``, which callers holding ints call."""
+    return _int_image(int_multiple(x), s)
 
 
 def map_preimage(x: Mat, s: Subspace, d: int) -> Subspace:

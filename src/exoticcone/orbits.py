@@ -77,6 +77,7 @@ from .errors import (
 from .linalg import (
     Subspace,
     _in_span,
+    _int_image,
     contains,
     frac,
     full_space,
@@ -85,7 +86,6 @@ from .linalg import (
     int_multiple,
     int_rows,
     int_span,
-    map_image,
     mat_mul,
     mat_vec,
     rank,
@@ -116,7 +116,7 @@ class SymplecticSpace(Record):
         if len(m) != d or any(len(row) != d for row in m):
             raise DomainError(f"Gram matrix must be {d}x{d}")
         object.__setattr__(self, "omega", _freeze_mat(m))
-        if not linalg.mat_eq(transpose(m), [[-x for x in row] for row in m]):
+        if not _antisymmetric(m):
             raise DomainError("Gram matrix must be antisymmetric")
         if linalg.det(m) == 0:
             raise DomainError("Gram matrix must be invertible")
@@ -133,6 +133,12 @@ class SymplecticSpace(Record):
         """A positive int multiple of the Gram matrix, scaled once: it has
         the same kernels, so ``perp`` can use it on every call."""
         return int_multiple(self.omega)
+
+
+def _antisymmetric(m) -> bool:
+    """m^T = -m, checked in place, the diagonal too (j = i)."""
+    return all(m[i][j] == -m[j][i]
+               for i in range(len(m)) for j in range(i + 1))
 
 
 def _freeze_mat(rows) -> tuple:
@@ -229,10 +235,11 @@ make_pair = ExoticPair
 
 
 def form_compatible(x, space: SymplecticSpace) -> bool:
-    """x is self-adjoint for the form: x^T omega = omega x."""
-    om = space.int_omega
-    xm = int_multiple(x)
-    return linalg.mat_eq(mat_mul(transpose(xm), om), mat_mul(om, xm))
+    """x is self-adjoint for the form: x^T omega = omega x. The form is
+    antisymmetric (``SymplecticSpace`` checks it), so (omega x)^T = x^T
+    omega^T = -x^T omega, and the identity holds exactly when omega x is
+    antisymmetric, diagonal included: one product instead of two."""
+    return _antisymmetric(mat_mul(space.int_omega, int_multiple(x)))
 
 
 def in_exotic_cone(pair: ExoticPair) -> bool:
@@ -359,7 +366,7 @@ def _exv(xi, v, kernels, images) -> Subspace:
         # im x^(i+j), so J(i) = top - i for the largest top <= h with
         # x^i v in im x^top
         top = h
-        while not contains(images[top], u):
+        while not _in_span(images[top], u):
             top -= 1
         image = images[top - i]
         term = sub_add(kernels[i], image) if i else image
@@ -469,12 +476,12 @@ def _orbit_from_module(xi, exv: Subspace, images) -> Bipartition:
     on E and dim(im x^k + E) - dim E on V/E."""
     e = len(exv)
     on_module = [e]
-    sub = map_image(xi, exv)
+    sub = _int_image(xi, exv)
     if not sub_leq(sub, exv):
         raise InternalInconsistency("E^x v is not x-stable")
     while on_module[-1]:
         on_module.append(len(sub))
-        sub = map_image(xi, sub)
+        sub = _int_image(xi, sub)
     # images[0] is the whole space
     on_quotient = [len(xi) - e]
     on_quotient += [len(sub_add(image, exv)) - e for image in images[1:]]
@@ -664,7 +671,7 @@ def adapted_filtration(pair: ExoticPair) -> IsotropicFiltration:
     second call returns the same object. The
     construction takes one perp for each level a >= 1, and the check takes
     none (see ``verify_adapted``). Every level comes out of ``int_span``,
-    ``perp``, ``map_image`` or ``sub_intersect`` in canonical form, so the
+    ``perp``, ``_int_image`` or ``sub_intersect`` in canonical form, so the
     filtration trusts the levels as they are and eliminates none again.
     The profile of the orbit is computed once (``filtration_dims``), for
     the top index and the check. A filtration that fails the check, or
@@ -708,7 +715,7 @@ def _weight_filtration(pair: ExoticPair) -> IsotropicFiltration:
     levels[0] = perp(levels[1], space)
     for a in range(2, top + 1):
         # N maps weight k onto weight k + 2 for every k >= -1
-        levels[a] = map_image(ni, levels[a - 2])
+        levels[a] = _int_image(ni, levels[a - 2])
         levels[1 - a] = perp(levels[a], space)
     filt = IsotropicFiltration._of_canonical(
         space, tuple(sorted(levels.items())), b)

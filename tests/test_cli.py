@@ -275,6 +275,18 @@ def test_non_self_adjoint_pair_gets_one_error_line(tmp_path):
         ), command
 
 
+def test_form_with_a_nonzero_diagonal_gets_one_error_line(tmp_path):
+    """omega = ((1, 1), (-1, 0)) is invertible and antisymmetric off the
+    diagonal, so only the diagonal test of ``SymplecticSpace`` refuses
+    it."""
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[0, 0], [0, 0]],
+                                "omega": [[1, 1], [-1, 0]]}))
+    for command in ("orbit-identify", "adapted"):
+        assert invoke(command, "--file", str(path)) == (
+            1, "", "error: Gram matrix must be antisymmetric\n"), command
+
+
 def test_pair_document_with_an_unknown_key_gets_one_error_line(tmp_path):
     """A misspelt "omega" once dropped the form without a message, and
     both pair commands answered (1) | (1) for a pair whose x is not

@@ -25,6 +25,7 @@ from exoticcone.linalg import (
     identity,
     inverse,
     map_image,
+    mat_eq,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -32,6 +33,7 @@ from exoticcone.linalg import (
     sub_add,
     sub_dim,
     sub_leq,
+    to_mat,
     transpose,
 )
 from exoticcone.orbits import (
@@ -44,6 +46,7 @@ from exoticcone.orbits import (
     conjugate_pair,
     de_double,
     exv_module,
+    form_compatible,
     in_exotic_cone,
     jordan_type,
     make_pair,
@@ -91,10 +94,93 @@ def test_standard_form_properties():
 
 
 def test_symplectic_space_validation():
+    """A Gram matrix must be antisymmetric, diagonal included, and
+    invertible. ((1, 1), (-1, 0)) is invertible and antisymmetric off the
+    diagonal, so only the diagonal test refuses it: an antisymmetry check
+    that loops over j < i alone accepts this row."""
     with pytest.raises(DomainError):
         SymplecticSpace(n=1, omega=((0, 1), (1, 0)))  # symmetric
     with pytest.raises(DomainError):
         SymplecticSpace(n=1, omega=((0, 0), (0, 0)))  # singular
+    assert det([[1, 1], [-1, 0]]) == 1
+    with pytest.raises(DomainError, match="antisymmetric"):
+        SymplecticSpace(n=1, omega=((1, 1), (-1, 0)))  # nonzero diagonal
+
+
+@st.composite
+def maps_and_forms(draw):
+    """(x, space): a form from ``standard_form``, or its pullback h^T omega
+    h by an int unitriangular h, with x drawn as a self-adjoint map, a
+    random int map or a random Fraction map. A self-adjoint x is -omega A
+    for an antisymmetric A and omega the standard form (omega^2 = -1, so
+    omega x = A), conjugated by ``random_symplectic`` and moved to the
+    pulled back form as h^-1 x h. It is scaled by 1/k (k = 1 keeps it
+    int), and may be broken: one entry changed, or a diagonal entry added
+    to A, which breaks only the diagonal of omega x."""
+    n = draw(st.integers(1, 3))
+    d = 2 * n
+    std = standard_form(n)
+    om = std.omega_rows()
+    entry = st.integers(-3, 3)
+    kind = draw(st.sampled_from(["self-adjoint"] * 2 + ["int", "fraction"]))
+    if kind == "int":
+        x = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(d)]
+    elif kind == "fraction":
+        x = [[Fraction(draw(entry), draw(st.integers(1, 4)))
+              for _ in range(d)] for _ in range(d)]
+    else:
+        a = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i):
+                a[i][j] = draw(entry)
+                a[j][i] = -a[i][j]
+        broken = draw(st.sampled_from([None, None, "entry", "diagonal"]))
+        if broken == "diagonal":
+            i = draw(st.integers(0, d - 1))
+            a[i][i] = draw(st.integers(1, 3))
+        x = [[-c for c in row] for row in mat_mul(om, a)]
+        g = random_symplectic(std, draw(st.integers(0, 2**30)))
+        x = to_mat(mat_mul(g, mat_mul(x, inverse(g))))
+        scale = Fraction(1, draw(st.sampled_from([1, 1, 2, 3])))
+        x = to_mat([[c * scale for c in row] for row in x])
+        if broken == "entry":
+            i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+            x[i][j] += draw(st.integers(1, 2))
+    space = std
+    if draw(st.booleans()):
+        h = identity(d)
+        for i in range(d):
+            for j in range(i + 1, d):
+                h[i][j] = draw(st.integers(-2, 2))
+        space = SymplecticSpace(n, mat_mul(transpose(h), mat_mul(om, h)))
+        x = to_mat(mat_mul(inverse(h), mat_mul(x, h)))
+    return x, space
+
+
+@given(maps_and_forms())
+@settings(max_examples=150, deadline=None)
+def test_form_compatible_is_the_two_product_identity(case):
+    """``form_compatible`` takes one product, omega x, and asks that it be
+    antisymmetric; it must agree with the definition x^T omega = omega x,
+    which takes two. Dropping the transpose (x omega = omega x in place of
+    x^T omega = omega x, or omega x = -omega x entrywise in place of
+    (omega x)^T = -omega x) fails on the self-adjoint draws, and dropping
+    the diagonal of the one-product test fails on the draws with a
+    diagonal added to A."""
+    x, space = case
+    om = space.omega_rows()
+    expected = mat_eq(mat_mul(transpose(x), om), mat_mul(om, x))
+    assert form_compatible(x, space) is expected
+
+
+def test_form_compatible_draws_both_answers():
+    """Fixed maps with both answers, among them one that breaks only the
+    diagonal of omega x, which is refused."""
+    om = standard_form(1).omega_rows()
+    assert form_compatible([[1, 0], [0, 1]], standard_form(1))
+    x = [[-c for c in row] for row in mat_mul(om, [[1, 0], [0, 0]])]
+    assert not form_compatible(x, standard_form(1))
+    assert not form_compatible([[0, 1], [0, 0]], standard_form(1))
 
 
 def test_in_exotic_cone_basics():
