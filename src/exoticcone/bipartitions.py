@@ -197,10 +197,9 @@ def filtration_dims(b: Bipartition) -> FiltrationProfile:
     is sum_i max(ceil((lam_i - a) / 2), 0) with lam the collapse of b, and
     a <= 0 mirrors it through dim V_{>= a} + dim V_{>= 1-a} = 2n.
 
-    Computed once per bipartition: the profile is immutable, and the
-    adapted filtration of a pair asks for it when it is built and again
-    when it is verified. The cache holds the 256 most recent profiles,
-    which covers every orbit up to n = 7."""
+    Computed once per bipartition: the profile is immutable, asked for
+    when an adapted filtration is built and when ``verify_adapted``
+    checks one in full. The 256 most recent are kept: every orbit to n = 7."""
     lam = phiC(b)
     n = b.size
     top = lam[0] if lam else 1

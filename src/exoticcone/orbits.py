@@ -617,18 +617,21 @@ def verify_adapted(filt: IsotropicFiltration, pair: ExoticPair,
     perp(V_{>= a}) and has its dimension, which makes the two equal; and
     omega is antisymmetric, so a >= 1 covers every pair (a, 1 - a) once.
 
-    On the filtration kept with this pair object (``ExoticPair._adapted``,
-    from ``adapted_filtration``) and the orbit it records, this answers
-    from the check made there; every other call checks in full. A pair
-    outside the exotic cone raises the DomainError of ``orbit_of``, as do
-    a pair without a form and a pair of another dimension."""
+    An orbit b other than the pair's reads False unchecked: orbits with
+    one collapse share a profile. The filtration kept with this pair
+    object (``ExoticPair._adapted``) answers from the check made there;
+    every other call checks in full. A pair outside the exotic cone raises
+    the DomainError of ``orbit_of``, as do a pair without a form and a
+    pair of another dimension."""
     if pair.space is None:
         raise DomainError("verification needs a symplectic form")
     if filt.space.dim != pair.dim:
         raise DomainError(f"filtration of dimension {filt.space.dim} "
                           f"checked against a pair of dimension {pair.dim}")
     _check_in_cone(pair)
-    if pair.__dict__.get("_adapted") is filt and b == filt.orbit:
+    if b != pair._orbit:
+        return False
+    if pair.__dict__.get("_adapted") is filt:
         return True
     return _verify(filt, pair, pair.space, filtration_dims(b))
 

@@ -563,7 +563,10 @@ def verify_adapted_by_perps(filt, pair, b, perps=None) -> bool:
     perp(V_{>= a}) for every level a, each perp computed by a kernel
     and read through perps (``_perp_via``). The library checks
     omega(V_{>= a}, V_{>= 1-a}) = 0 with dimensions adding up to 2n
-    instead, and computes no perp."""
+    instead, and computes no perp. An orbit b other than the pair's, as
+    ``orbit_of`` above finds it, reads False."""
+    if b != orbit_of(pair):
+        return False
     perps = {} if perps is None else perps
     profile = filtration_dims(b)
     lo, hi = profile.levels[0][0], profile.levels[-1][0]

@@ -46,31 +46,6 @@ def test_mult_both_routes():
     ) == {"b": 2}
 
 
-# (argv, a name the one error line must hold)
-USAGE_ERRORS = [
-    ((), "command"),
-    (("frob",), "'frob'"),
-    (("poset", "--n", "2", "--frob", "1"), "--frob"),
-    # no prefix abbreviations: --lam is not --lambda
-    (("mult", "--mu", "[1,0]", "--lam", "[0,0]"), "--lam"),
-    (("poset", "--n"), "--n"),
-    (("mult", "--mu", "[1,0]"), "--lambda"),
-    (("poset", "--n", "x"), "--n"),
-    (("--rank-cap", "x", "poset", "--n", "2"), "--rank-cap"),
-    (("kostant", "--kind", "q", "--mu", "[1]"), "--kind"),
-    (("poset", "--n", "2", "--dot=1"), "--dot"),
-    (("poset", "--n", "2", "extra"), "'extra'"),
-]
-
-
-@pytest.mark.parametrize("argv, named", USAGE_ERRORS)
-def test_usage_errors_exit_1_with_one_line_naming_the_culprit(argv, named):
-    code, out, err = invoke(*argv)
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert named in err
-
-
 def test_help_lists_the_commands_or_the_flags_of_one():
     code, out, err = invoke("--help")
     assert (code, err) == (0, "")
@@ -252,65 +227,16 @@ def test_pair_fields_must_be_json_arrays(tmp_path):
         "mu": [1], "nu": []}
 
 
-def test_non_nilpotent_pair_gets_one_error_line_and_no_form_solve(
+def test_non_nilpotent_pair_is_refused_before_a_form_solve(
         tmp_path, monkeypatch):
-    def solve(_):
-        raise AssertionError("invariant form solved for a non-nilpotent x")
-
-    monkeypatch.setattr(orbits, "solve_symplectic_form", solve)
+    # the refusal itself is a row of test_caps_edge
+    solves = []
+    monkeypatch.setattr(orbits, "solve_symplectic_form", solves.append)
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[1, 0], [0, 0]]}))
     for command in ("orbit-identify", "adapted"):
-        assert invoke(command, "--file", str(path)) == (
-            1, "", "error: x is not nilpotent\n"), command
-
-
-def test_non_self_adjoint_pair_gets_one_error_line(tmp_path):
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[0, 1], [0, 0]],
-                                "omega": [[0, 1], [-1, 0]]}))
-    for command in ("orbit-identify", "adapted"):
-        assert invoke(command, "--file", str(path)) == (
-            1, "", "error: x is not self-adjoint for the supplied form\n"
-        ), command
-
-
-def test_form_with_a_nonzero_diagonal_gets_one_error_line(tmp_path):
-    """omega = ((1, 1), (-1, 0)) is invertible and antisymmetric off the
-    diagonal, so only the diagonal test of ``SymplecticSpace`` refuses
-    it."""
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": [[0, 0], [0, 0]],
-                                "omega": [[1, 1], [-1, 0]]}))
-    for command in ("orbit-identify", "adapted"):
-        assert invoke(command, "--file", str(path)) == (
-            1, "", "error: Gram matrix must be antisymmetric\n"), command
-
-
-def test_pair_document_with_an_unknown_key_gets_one_error_line(tmp_path):
-    """A misspelt "omega" once dropped the form without a message, and
-    both pair commands answered (1) | (1) for a pair whose x is not
-    self-adjoint for that form."""
-    doc = {"n": 2, "v": [1, 0, 0, 0],
-           "x": [[0, 1, 0, 1], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]],
-           "omgea": [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0],
-                     [-1, 0, 0, 0]]}
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    errors = set()
-    for command in ("orbit-identify", "adapted"):
-        code, out, err = invoke(command, "--file", str(path))
-        assert (code, out) == (1, ""), command
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "'omgea'" in err
-        errors.add(err)
-    assert len(errors) == 1
-    doc["omega"] = doc.pop("omgea")
-    path.write_text(json.dumps(doc))
-    for command in ("orbit-identify", "adapted"):
-        assert invoke(command, "--file", str(path)) == (
-            1, "", "error: x is not self-adjoint for the supplied form\n"
-        ), command
+        invoke(command, "--file", str(path))
+    assert solves == []
 
 
 def test_adapted_without_a_form_computes_the_powers_of_x_once(monkeypatch):
@@ -330,34 +256,19 @@ def test_adapted_without_a_form_computes_the_powers_of_x_once(monkeypatch):
     assert calls.count(pair._int_x) == 1
 
 
-def test_rank_cap_names_knob():
-    code, _, err = invoke("poset", "--n", "99")
-    assert code == 1
-    assert "rank_cap" in err
-    code, _, err = invoke("sweep", "--n", "2", "--bound", "99")
-    assert code == 1
-    assert "degree_cap" in err
-    code, out, err = invoke("sweep", "--n", "2", "--bound", "-1")
-    assert code == 1 and out == ""
-    assert "bound must be nonnegative" in err
-
-
 def test_pair_file_rank_cap_comes_before_the_gram_determinant(
         tmp_path, monkeypatch):
+    # the refusal itself is a row of test_caps_edge
     n = 9
     zero = orbits.ExoticPair(v=(0,) * (2 * n), x=((0,) * (2 * n),) * (2 * n),
                              space=orbits.standard_form(n))
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(orbits.pair_to_json(zero)))
-
-    def det(_):
-        raise AssertionError("Gram determinant taken above rank_cap")
-
-    monkeypatch.setattr(orbits.linalg, "det", det)
+    dets = []
+    monkeypatch.setattr(orbits.linalg, "det", dets.append)
     for command in ("orbit-identify", "adapted"):
-        code, out, err = invoke(command, "--file", str(path))
-        assert code == 1 and out == ""
-        assert "rank_cap" in err
+        invoke(command, "--file", str(path))
+    assert dets == []
 
 
 def test_cli_memo_cap_is_the_library_default():
@@ -381,88 +292,18 @@ def test_cache_bytes_sets_the_memo_cap(monkeypatch):
     assert config.memo_cap == 1024
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
-                    reason="this interpreter has no int-string digit limit")
-def test_over_long_json_integer_is_one_error_line(tmp_path):
-    big = "1" + "0" * sys.get_int_max_str_digits()
-    path = tmp_path / "pair.json"
-    path.write_text(f'{{"n": 1, "v": [{big}, 0], "x": [[0, 0], [0, 0]]}}')
-    for argv in (("bwb", "--lambda", f"[{big}]"),
-                 ("orbit-identify", "--file", str(path))):
-        code, out, err = invoke(*argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "Traceback" not in err
-
-
-def test_rational_strings_outside_p_over_q_are_one_error_line(tmp_path):
-    """Fraction(str) also reads exponents, decimals, spaces, underscores, a
-    plus sign and non-ASCII digits; "1e5000" once passed the digit limit
-    of a written-out int and ended in a Traceback when it was printed."""
+def test_rational_string_p_over_q_is_read(tmp_path):
+    # strings outside -?[0-9]+(/[0-9]+)? are refusal rows of test_caps_edge
     doc = {"n": 2, "v": [0, 1, 0, 0],
-           "x": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
+           "x": [[0, "-2/4", 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
     path = tmp_path / "pair.json"
-    for entry in ("1e5000", "0.5", " 1", "1_000", "+2", "\u0663", "1/-2"):
-        doc["x"][0][1] = entry
-        path.write_text(json.dumps(doc))
-        for command in ("orbit-identify", "adapted"):
-            assert invoke(command, "--file", str(path)) == (
-                1, "", f"error: not an exact rational: {entry!r}\n"
-            ), (entry, command)
-    doc["x"][0][1] = "-2/4"
     path.write_text(json.dumps(doc))
     assert invoke_json("orbit-identify", "--file", str(path)) == {
         "mu": [2], "nu": []}
 
 
-@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
-                    reason="this interpreter has no int-string digit limit")
-def test_cap_refusal_of_an_over_long_sum_is_one_error_line():
-    """Two JSON ints each within the int-string digit limit sum past it;
-    formatting that sum in the refusal once raised a Traceback."""
-    big = "9" * sys.get_int_max_str_digits()
-    twice = f"[{big},{big}]"
-    cases = [((command, "--mu", twice, "--nu", "[]"), "rank_cap")
-             for command in ("phic", "collapse", "filtration-dims",
-                             "representative")]
-    cases += [(("kostant", "--kind", "p", "--mu", twice), "degree_cap"),
-              (("mult", "--mu", twice, "--lambda", "[0,0]"), "degree_cap"),
-              (("mult", "--mu", "[0,0]", "--lambda", twice), "degree_cap"),
-              (("weights", "--mu", twice), "degree_cap")]
-    for argv, knob in cases:
-        code, out, err = invoke(*argv)
-        assert code == 1 and out == "", argv
-        assert err.startswith("error: ") and err.count("\n") == 1, argv
-        assert f"(config knob: {knob})" in err and "Traceback" not in err
-    # an ordinary value still prints in decimal
-    assert invoke("phic", "--mu", "[5,5]", "--nu", "[]") == (
-        1, "", "error: n=10 exceeds rank_cap=8 (config knob: rank_cap)\n")
-
-
-def test_deeply_nested_json_is_one_error_line(tmp_path):
-    nested = "[" * 100_000
-    path = tmp_path / "pair.json"
-    path.write_text(nested)
-    for argv in (("bwb", "--lambda", nested),
-                 ("orbit-identify", "--file", str(path)),
-                 ("adapted", "--file", str(path))):
-        code, out, err = invoke(*argv)
-        assert code == 1 and out == ""
-        assert err.startswith("error: malformed JSON")
-        assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_degree_cap_guards_mult_and_kostant():
-    for argv in (
-        ("kostant", "--kind", "p'", "--mu", "[40,0,0,0,0,0,0,0]"),
-        ("kostant", "--kind", "p", "--mu", "[-7,7]"),
-        ("mult", "--mu", "[13,0]", "--lambda", "[0,0]"),
-        ("mult", "--mu", "[1,0]", "--lambda", "[-7,6]"),
-        ("--degree-cap", "3", "weights", "--mu", "[2,2]"),
-    ):
-        code, out, err = invoke(*argv)
-        assert code == 1 and out == ""
-        assert "degree_cap" in err
+def test_degree_cap_flag_lifts_the_cap_and_bwb_is_uncapped():
+    # the refusals at the default degree_cap are rows of test_caps_edge
     assert invoke_json(
         "--degree-cap", "14", "kostant", "--kind", "p", "--mu", "[-7,7]"
     ) == {"value": 0}
@@ -471,8 +312,7 @@ def test_degree_cap_guards_mult_and_kostant():
 
 
 def test_rank_cap_flag_override():
-    code, _, err = invoke("poset", "--n", "9")
-    assert code == 1
+    # without the flag, poset --n 9 is a refusal row of test_caps_edge
     code, out, _ = invoke("--rank-cap", "9", "poset", "--n", "9")
     assert code == 0
 
@@ -492,28 +332,6 @@ def test_adapted_solves_the_empty_form_of_the_rank_0_representative(
     given = invoke_json("adapted", "--file", str(path))
     assert given["omega_solved"] is False
     assert given["subspaces"] == out["subspaces"]
-
-
-def test_n_flag_must_match_lengths():
-    code, _, err = invoke("mult", "--n", "3", "--mu", "[1,0]",
-                          "--lambda", "[0,0]")
-    assert code == 1
-    assert "--n" in err
-
-
-def test_mult_rank_mismatch_exits_1():
-    for mu, lam, route in (("[1]", "[0,0]", "a"), ("[1,0]", "[1]", "both"),
-                           ("[1,0]", "[0,0,0]", "b")):
-        code, out, err = invoke("mult", "--mu", mu, "--lambda", lam,
-                                "--route", route)
-        assert code == 1 and out == ""
-        assert err == "error: rank mismatch\n"
-
-
-def test_mismatched_bipartition_rejected():
-    code, _, err = invoke("phic", "--mu", "[1,2]", "--nu", "[]")
-    assert code == 1
-    assert "partition" in err
 
 
 def test_missing_pair_file(tmp_path):

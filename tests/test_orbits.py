@@ -836,9 +836,9 @@ def test_verify_adapted_answers_from_the_check_already_made(monkeypatch):
     """``adapted_filtration`` then ``verify_adapted`` on the same pair
     object and orbit runs ``_verify`` once, on a conjugate of every orbit
     with n <= 3. Each other call runs it in full and agrees with the perps
-    oracle: an equal but distinct pair, the next orbit of the same rank,
-    the filtration rebuilt by the constructor, and the pair under a
-    foreign form (``_foreign_forms``)."""
+    oracle: an equal but distinct pair, the filtration rebuilt by the
+    constructor, and the pair under a foreign form (``_foreign_forms``).
+    The next orbit of the same rank reads False without running it."""
     from exoticcone import orbits
 
     calls = []
@@ -859,11 +859,14 @@ def test_verify_adapted_answers_from_the_check_already_made(monkeypatch):
             filt = adapted_filtration(pair)
             assert verify_adapted(filt, pair, b)
             assert len(calls) == 1, b
+            calls.clear()
+            other = bs[(i + 1) % len(bs)]
+            assert not verify_adapted(filt, pair, other) and not calls, b
+            assert not oracles.verify_adapted_by_perps(filt, pair, other)
             space = next(_foreign_forms(pair, rng, 5))
             for args in (
                     (filt, ExoticPair(v=pair.v, x=pair.x, space=pair.space),
                      b),
-                    (filt, pair, bs[(i + 1) % len(bs)]),
                     (IsotropicFiltration(space=filt.space,
                                          subspaces=filt.subspaces), pair, b),
                     (filt, ExoticPair(v=pair.v, x=pair.x, space=space), b)):
@@ -874,6 +877,30 @@ def test_verify_adapted_answers_from_the_check_already_made(monkeypatch):
             # the record outlives the other calls
             calls.clear()
             assert verify_adapted(filt, pair, b) and not calls, b
+
+
+def test_verify_adapted_reads_another_orbit_as_false():
+    """The adapted filtration of rep(b) against every other orbit c of the
+    same rank, n <= 4: 492 cases, all False on the pair that built it, on
+    an equal fresh pair and in the perps oracle. In 20 of them c shares
+    the collapse, and so the profile, of b, as (∅ | (2)) does that of
+    (1) | (1); the check of the filtration alone passes those."""
+    cases = same_collapse = 0
+    for n in range(1, 5):
+        bs = enumerate_Q(n)
+        for b in bs:
+            rep = representative(b)
+            filt = adapted_filtration(rep)
+            fresh = ExoticPair(v=rep.v, x=rep.x, space=rep.space)
+            for c in bs:
+                if c == b:
+                    continue
+                cases += 1
+                same_collapse += phiC(c) == phiC(b)
+                assert not verify_adapted(filt, rep, c), (b, c)
+                assert not verify_adapted(filt, fresh, c), (b, c)
+                assert not oracles.verify_adapted_by_perps(filt, rep, c)
+    assert (cases, same_collapse) == (492, 20)
 
 
 def test_verify_adapted_refuses_a_pair_outside_the_cone():
