@@ -1,8 +1,8 @@
 """Command-line surface: every operation with JSON in and JSON out.
 
 ``exoticcone [--knob value]... COMMAND [--flag value]...`` is parsed from
-the one table ``COMMANDS``; ``--flag=value`` also works, and flag names
-must match exactly.
+the one table ``COMMANDS``; ``--flag=value`` also works, flag names
+must match exactly, and a flag given twice is refused.
 
 Exit codes: 0 on success or after -h/--help, 1 on a usage error, a domain
 error (bad input, malformed JSON, a configured cap exceeded) or when the
@@ -76,12 +76,12 @@ def _ranked_weight(args, what: str, cfg: Config) -> tuple:
     return lam
 
 
-def _check_degree(weight: tuple, cfg: Config, what: str):
-    size = sum(abs(c) for c in weight)
+def _check_degree(size: int, what: str, cfg: Config):
+    """Refuse a degree above degree_cap: |weight| or a sweep bound."""
     if size > cfg.degree_cap:
         raise CapExceeded(
             "degree_cap",
-            f"|{what}|={_decimal(size)} exceeds degree_cap={cfg.degree_cap}",
+            f"{what}={_decimal(size)} exceeds degree_cap={cfg.degree_cap}",
         )
 
 
@@ -112,8 +112,8 @@ def _bipartition_args(args, cfg: Config) -> bp.Bipartition:
 def _cmd_mult(args, cfg):
     mu = _ranked_weight(args, "mu", cfg)
     lam = _ranked_weight(args, "lambda", cfg)
-    _check_degree(mu, cfg, "mu")
-    _check_degree(lam, cfg, "lambda")
+    _check_degree(sum(map(abs, mu)), "|mu|", cfg)
+    _check_degree(sum(map(abs, lam)), "|lambda|", cfg)
     out = {}
     if args["route"] in ("a", "both"):
         out["a"] = sections.h0_mult(mu, lam)
@@ -126,7 +126,7 @@ def _cmd_mult(args, cfg):
 
 def _cmd_kostant(args, cfg):
     mu = _ranked_weight(args, "mu", cfg)
-    _check_degree(mu, cfg, "mu")
+    _check_degree(sum(map(abs, mu)), "|mu|", cfg)
     fn = kostant.kostant_p if args["kind"] == "p" else kostant.kostant_p_exotic
     return {"value": fn(mu)}
 
@@ -142,7 +142,7 @@ def _cmd_bwb(args, cfg):
 
 def _cmd_weights(args, cfg):
     mu = _ranked_weight(args, "mu", cfg)
-    _check_degree(mu, cfg, "mu")
+    _check_degree(sum(map(abs, mu)), "|mu|", cfg)
     table = characters.all_weights(mu)
     entries = sorted(table.entries.items(), reverse=True)
     return {
@@ -238,11 +238,7 @@ def _cmd_sweep(args, cfg):
     _check_rank(n, cfg)
     if bound < 0:
         raise DomainError("bound must be nonnegative")
-    if bound > cfg.degree_cap:
-        raise CapExceeded(
-            "degree_cap",
-            f"bound={bound} exceeds degree_cap={cfg.degree_cap}",
-        )
+    _check_degree(bound, "bound", cfg)
     grid = []
     for k in range(bound + 1):
         grid.extend(sections.dominant_weights_of_degree(n, k))
@@ -332,6 +328,8 @@ def _parse(argv):
         name, eq, value = arg[2:].partition("=")
         if name not in flags:
             raise DomainError(f"{where}unknown flag --{name}")
+        if name in values:
+            raise DomainError(f"{where}--{name} is given twice")
         kind = flags[name][0]
         if kind is bool:
             if eq:

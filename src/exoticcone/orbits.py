@@ -251,6 +251,9 @@ def in_exotic_cone(pair: ExoticPair) -> bool:
     return pair._self_adjoint
 
 
+_NO_FORM = "no invertible invariant form (Jordan type not doubled)"
+
+
 def solve_symplectic_form(x) -> tuple:
     """An invertible antisymmetric omega with x^T omega = omega x, found
     by an exact int kernel over the antisymmetric matrices.
@@ -299,7 +302,7 @@ def solve_symplectic_form(x) -> tuple:
         if linalg.det(om) != 0:
             return _freeze_mat([[Fraction(c, den) for c in row]
                                 for row in om])
-    raise DomainError("no invertible invariant form (Jordan type not doubled)")
+    raise DomainError(_NO_FORM)
 
 
 def centralizer_basis(x) -> list:
@@ -457,7 +460,8 @@ def orbit_of(pair: ExoticPair) -> Bipartition:
 
     Requires x nilpotent; the form, when attached, must be compatible.
     Raises NotDoubled when (v, x) lies in no orbit for any symplectic
-    form, e.g. when the Jordan type of x is not doubled.
+    form. When the Jordan type of x itself is not doubled, its message is
+    the one the form solve gives (``solve_symplectic_form``).
     """
     _check_in_cone(pair)
     return pair._orbit
@@ -485,8 +489,16 @@ def _orbit_from_module(xi, exv: Subspace, images) -> Bipartition:
     # images[0] is the whole space
     on_quotient = [len(xi) - e]
     on_quotient += [len(sub_add(image, exv)) - e for image in images[1:]]
-    return Bipartition(de_double(_parts(on_module)),
-                       de_double(_parts(on_quotient)))
+    try:
+        return Bipartition(de_double(_parts(on_module)),
+                           de_double(_parts(on_quotient)))
+    except NotDoubled:
+        # when x's own type is not doubled, no form makes it self-adjoint:
+        # say so, as the form solve of adapted_filtration does
+        parts = _parts([len(image) for image in images])
+        if parts[0::2] != parts[1::2]:
+            raise NotDoubled(_NO_FORM) from None
+        raise
 
 
 def representative(b: Bipartition) -> ExoticPair:

@@ -1,19 +1,15 @@
-"""Check the filtration that ``exoticcone adapted`` printed, apart from
-its ``"verified"`` field: rebuild the filtration from the printed levels
-through the public constructor, on a fresh pair that takes the printed
-form when the form was solved, and require ``orbit_of`` to give the
-printed orbit and both ``verify_adapted`` and the perps oracle to accept
-it. The fresh pair keeps no filtration of its own, so ``verify_adapted``
-checks the rebuilt one in full.
+"""Check the output of ``exoticcone adapted`` on a pair document. Its
+``"verified"`` field is a constant, since a failed check exits 2, so the
+check does not stop there: it rebuilds the filtration from the printed
+levels through the public constructor, on a fresh pair that takes the
+printed form when the form was solved, and requires ``orbit_of`` to give
+the printed orbit and both ``verify_adapted`` and the perps oracle to
+accept it. The fresh pair keeps no filtration of its own, so
+``verify_adapted`` checks the rebuilt one in full.
 
-    python tests/check_adapted.py PAIR_FILE ADAPTED_STDOUT_FILE
-
-exits 0 when the printed filtration passes, and 1 with the reason on
-stderr when it does not.
+The in-process runner of ``test_caps_edge.py`` applies ``problem`` to
+every ``adapted`` row that exits 0.
 """
-
-import json
-import sys
 
 import oracles
 
@@ -46,10 +42,12 @@ def printed_filtration(pair_doc: dict, out: dict):
 
 def problem(pair_doc: dict, out: dict) -> str | None:
     """Why the printed filtration fails, or None when it passes."""
+    if out.get("verified") is not True:
+        return f"printed verified={out.get('verified')!r}"
     try:
         filt, pair, b = printed_filtration(pair_doc, out)
-    except (DomainError, ValueError) as exc:
-        return f"the printed filtration cannot be rebuilt: {exc}"
+    except (DomainError, KeyError, ValueError) as exc:
+        return f"the printed filtration cannot be rebuilt: {exc!r}"
     if orbit_of(pair) != b:
         return f"the pair classifies as {orbit_of(pair)}, printed {b}"
     if not verify_adapted(filt, pair, b):
@@ -57,20 +55,3 @@ def problem(pair_doc: dict, out: dict) -> str | None:
     if not oracles.verify_adapted_by_perps(filt, pair, b):
         return "the perps oracle rejects the printed filtration"
     return None
-
-
-def main(argv) -> int:
-    pair_path, out_path = argv
-    with open(pair_path, encoding="utf-8") as handle:
-        pair_doc = json.load(handle)
-    with open(out_path, encoding="utf-8") as handle:
-        out = json.load(handle)
-    reason = problem(pair_doc, out)
-    if reason is not None:
-        print(f"{pair_path}: {reason}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))

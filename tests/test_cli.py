@@ -32,20 +32,6 @@ def invoke_json(*args):
     return json.loads(out)
 
 
-def test_mult_both_routes():
-    doc = invoke_json(
-        "mult", "--n", "2", "--mu", "[1,0]", "--lambda", "[0,0]",
-        "--route", "both",
-    )
-    assert doc == {"a": 2, "b": 2, "agree": True}
-    assert invoke_json("mult", "--mu", "[1,0]", "--lambda", "[0,0]") == {
-        "a": 2
-    }
-    assert invoke_json(
-        "mult", "--mu", "[1,0]", "--lambda", "[0,0]", "--route", "b"
-    ) == {"b": 2}
-
-
 def test_help_lists_the_commands_or_the_flags_of_one():
     code, out, err = invoke("--help")
     assert (code, err) == (0, "")
@@ -57,86 +43,13 @@ def test_help_lists_the_commands_or_the_flags_of_one():
     assert "kostant" not in out
 
 
-def test_flag_equals_value_is_flag_then_value():
-    # the default degree_cap of 12 refuses |mu| = 14
-    joined = invoke("--degree-cap=14", "kostant", "--kind=p", "--mu=[-7,7]")
-    spaced = invoke("--degree-cap", "14", "kostant", "--kind", "p",
-                    "--mu", "[-7,7]")
-    assert joined == spaced == (0, '{"value": 0}\n', "")
-
-
-def test_kostant_kinds():
-    assert invoke_json("kostant", "--kind", "p", "--mu", "[2,0]") == {
-        "value": 3
-    }
-    assert invoke_json("kostant", "--kind", "p'", "--mu", "[1,0]") == {
-        "value": 2
-    }
-
-
-def test_bwb_outputs():
-    assert invoke_json("bwb", "--lambda", "[-1,-3]") == {
-        "zero": False,
-        "sign": 1,
-        "mu": [0, 0],
-    }
-    assert invoke_json("bwb", "--lambda", "[-2,1]") == {"zero": True}
-
-
-def test_weights_table():
-    doc = invoke_json("weights", "--mu", "[1,1]")
-    assert doc["dim"] == 5
-    assert doc["highest"] == [1, 1]
-    assert [[0, 0], 1] in doc["entries"]
-    assert len(doc["entries"]) == 5
-
-
-def test_poset_json_and_dot():
-    doc = invoke_json("poset", "--n", "2")
-    assert len(doc["nodes"]) == 5
-    assert len(doc["edges"]) == 5
-    code, out, _ = invoke("poset", "--n", "1", "--dot")
-    assert code == 0
-    assert out.count("->") == 1
-    assert out.strip().startswith("digraph")
-
-
-def test_bipartition_commands():
-    assert invoke_json("phic", "--mu", "[1,1,1]", "--nu", "[3]") == {
-        "lambda": [4, 4, 2, 1, 1]
-    }
-    assert invoke_json("collapse", "--mu", "[1,1,1]", "--nu", "[3]") == {
-        "mu": [2, 1, 1],
-        "nu": [2],
-    }
-    doc = invoke_json("filtration-dims", "--mu", "[1,1,1]", "--nu", "[3]")
-    assert doc["dims"]["3"] == 2
-    assert doc["dims"]["1"] == 5
-    assert doc["dims"]["0"] == 7
-    assert doc["dims"]["-2"] == 10
-
-
-def test_orbit_identify_and_adapted():
-    doc = invoke_json("orbit-identify", "--file", PAIR)
-    assert doc == {"mu": [1, 1, 1], "nu": [3]}
-    doc = invoke_json("adapted", "--file", PAIR_FORM)
-    assert doc["verified"] is True
-    assert doc["omega_solved"] is False
-    assert doc["mu"] == [1, 1, 1]
-    assert set(doc["subspaces"]) == {str(a) for a in range(-3, 5)}
-    doc2 = invoke_json("adapted", "--file", PAIR)
-    assert doc2["omega_solved"] is True
-    assert doc2["verified"] is True
-    assert "omega" in doc2
-
-
-def test_adapted_prints_a_filtration_that_verifies_on_every_pair_file(
-        tmp_path, monkeypatch):
-    """``"verified"`` is a constant of the output, so the printed levels
-    are checked apart from it (``check_adapted``): rebuilt by the public
-    constructor, on a fresh pair, so that ``verify_adapted`` runs the
-    full check, on every tests/data pair file as given and without its
-    form, the latter with the printed form."""
+def test_check_adapted_verifies_the_printed_filtration_in_full_once(
+        monkeypatch):
+    """``check_adapted``, which the in-process runner of test_caps_edge
+    applies to every ``adapted`` row, rebuilds the printed filtration on
+    a fresh pair that keeps none, so ``verify_adapted`` checks it in
+    full: one ``_verify`` call, with the printed form and with the
+    given one."""
     calls = []
     verify = orbits._verify
 
@@ -145,86 +58,14 @@ def test_adapted_prints_a_filtration_that_verifies_on_every_pair_file(
         return verify(*args)
 
     monkeypatch.setattr(orbits, "_verify", counted)
-    names = sorted(name for name in os.listdir(DATA)
-                   if name.startswith("pair_") and name.endswith(".json"))
-    assert len(names) == 6
-    path = tmp_path / "pair.json"
-    for name in names:
-        with open(os.path.join(DATA, name), encoding="utf-8") as handle:
+    for path in (PAIR, PAIR_FORM):
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
-        formless = {key: value for key, value in doc.items()
-                    if key != "omega"}
-        for pair_doc in [doc, formless] if "omega" in doc else [doc]:
-            path.write_text(json.dumps(pair_doc))
-            out = invoke_json("adapted", "--file", str(path))
-            assert out["omega_solved"] is ("omega" not in pair_doc)
-            calls.clear()
-            assert check_adapted.problem(pair_doc, out) is None, name
-            assert len(calls) == 1, name
-
-
-def test_representative_round_trip(tmp_path):
-    doc = invoke_json("representative", "--mu", "[1]", "--nu", "[1]")
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    out = invoke_json("orbit-identify", "--file", str(path))
-    assert out == {"mu": [1], "nu": [1]}
-
-
-def test_sweep_ok():
-    doc = invoke_json("sweep", "--n", "2", "--bound", "2")
-    assert doc["ok"] is True
-    assert doc["violations"] == []
-    assert doc["cells"] == 16
-
-
-def test_malformed_json_is_positioned():
-    code, _, err = invoke("mult", "--mu", "[1,", "--lambda", "[0,0]")
-    assert code == 1
-    assert "line" in err and "column" in err
-
-
-def test_json_booleans_and_fractional_n_are_rejected(tmp_path):
-    code, out, err = invoke("kostant", "--kind", "p", "--mu", "[true,false]")
-    assert code == 1 and out == ""
-    assert "integers" in err
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(
-        {"n": 1, "v": [True, False], "x": [[0, 0], [0, 0]]}
-    ))
-    code, out, err = invoke("orbit-identify", "--file", str(path))
-    assert code == 1 and out == ""
-    assert "True" in err
-    for n in (True, 1.9):
-        path.write_text(json.dumps({"n": n, "v": [1, 0], "x": [[0, 0]] * 2}))
-        code, out, err = invoke("orbit-identify", "--file", str(path))
-        assert code == 1 and out == ""
-        assert "n must be an integer" in err
-
-
-def test_pair_fields_must_be_json_arrays(tmp_path):
-    # a string iterates as its characters, so "10" once read as v = [1, 0]
-    # and a verified answer came out; an object read as its keys
-    zero = [[0, 0], [0, 0]]
-    cases = [
-        ({"n": 1, "v": "10", "x": ["00", "00"]}, "v"),
-        ({"n": 1, "v": {"a": 1, "b": 0}, "x": zero}, "v"),
-        ({"n": 1, "v": [1, 0], "x": ["00", "00"]}, "x"),
-        ({"n": 1, "v": [1, 0], "x": {"a": [0, 0], "b": [0, 0]}}, "x"),
-        ({"n": 1, "v": [1, 0], "x": zero, "omega": [[0, 1], "ab"]}, "omega"),
-        ({"n": 1, "v": [1, 0], "x": zero, "omega": {"a": 1}}, "omega"),
-    ]
-    path = tmp_path / "pair.json"
-    for doc, field in cases:
-        path.write_text(json.dumps(doc))
-        for command in ("orbit-identify", "adapted"):
-            code, out, err = invoke(command, "--file", str(path))
-            assert code == 1 and out == "", (doc, command)
-            assert err.startswith(f"error: {field} must be a JSON array")
-            assert err.count("\n") == 1
-    path.write_text(json.dumps({"n": 1, "v": [1, 0], "x": zero}))
-    assert invoke_json("orbit-identify", "--file", str(path)) == {
-        "mu": [1], "nu": []}
+        out = invoke_json("adapted", "--file", path)
+        assert out["omega_solved"] is ("omega" not in doc)
+        calls.clear()
+        assert check_adapted.problem(doc, out) is None, path
+        assert len(calls) == 1, path
 
 
 def test_non_nilpotent_pair_is_refused_before_a_form_solve(
@@ -290,61 +131,6 @@ def test_cache_bytes_sets_the_memo_cap(monkeypatch):
     assert invoke_json("--cache-bytes", "131072", "kostant", "--kind", "p",
                        "--mu", "[2,0]") == {"value": 3}
     assert config.memo_cap == 1024
-
-
-def test_rational_string_p_over_q_is_read(tmp_path):
-    # strings outside -?[0-9]+(/[0-9]+)? are refusal rows of test_caps_edge
-    doc = {"n": 2, "v": [0, 1, 0, 0],
-           "x": [[0, "-2/4", 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]]}
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    assert invoke_json("orbit-identify", "--file", str(path)) == {
-        "mu": [2], "nu": []}
-
-
-def test_degree_cap_flag_lifts_the_cap_and_bwb_is_uncapped():
-    # the refusals at the default degree_cap are rows of test_caps_edge
-    assert invoke_json(
-        "--degree-cap", "14", "kostant", "--kind", "p", "--mu", "[-7,7]"
-    ) == {"value": 0}
-    # bwb is a sort and stays uncapped
-    assert invoke_json("bwb", "--lambda", "[9,-9]")["zero"] is False
-
-
-def test_rank_cap_flag_override():
-    # without the flag, poset --n 9 is a refusal row of test_caps_edge
-    code, out, _ = invoke("--rank-cap", "9", "poset", "--n", "9")
-    assert code == 0
-
-
-def test_adapted_solves_the_empty_form_of_the_rank_0_representative(
-        tmp_path):
-    doc = invoke_json("representative", "--mu", "[]", "--nu", "[]")
-    assert doc == {"n": 0, "v": [], "x": []}
-    path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    out = invoke_json("adapted", "--file", str(path))
-    assert (out["mu"], out["nu"]) == ([], [])
-    assert out["omega_solved"] is True and out["omega"] == []
-    assert out["verified"] is True
-    # the same answer as for the pair given with its empty form
-    path.write_text(json.dumps({**doc, "omega": []}))
-    given = invoke_json("adapted", "--file", str(path))
-    assert given["omega_solved"] is False
-    assert given["subspaces"] == out["subspaces"]
-
-
-def test_missing_pair_file(tmp_path):
-    code, _, err = invoke("orbit-identify", "--file", "/nonexistent.json")
-    assert code == 1
-    latin1 = tmp_path / "pair.json"
-    latin1.write_bytes(b'{"n": 1, "v": ["\xe9"]}')
-    for path in (tmp_path, latin1):
-        for command in ("orbit-identify", "adapted"):
-            code, out, err = invoke(command, "--file", str(path))
-            assert code == 1 and out == ""
-            assert err.startswith("error: cannot read")
-            assert "Traceback" not in err
 
 
 def test_config_file_and_env(tmp_path, monkeypatch):

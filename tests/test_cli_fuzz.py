@@ -1,11 +1,12 @@
 """A grammar fuzz of the CLI, in process through ``cli.run``.
 
 Each example draws a command, its flags (each given as ``--flag value``
-or ``--flag=value``, sometimes left out, misspelt or given a malformed
-value), global knob overrides, well-formed and malformed weights, and a
-small pair file with or without ``omega``: a conjugated orbit
-representative, random small entries, a form that is not antisymmetric
-or not invertible, or a malformed document. Every run must exit 0 or 1,
+or ``--flag=value``, sometimes left out, misspelt, given twice or given
+a malformed value), global knob overrides (sometimes one given twice),
+well-formed and malformed weights, and a small pair file with or
+without ``omega``: a conjugated orbit representative, random small
+entries, a form that is not antisymmetric or not invertible, or a
+malformed document. Every run must exit 0 or 1,
 write exactly one stderr line on exit 1 and none on exit 0, and give the
 same stdout, stderr and exit code when run a second time, with the memos
 the first run left warm.
@@ -45,7 +46,7 @@ KNOB_VALUES = [12, 1024, 8, 2, 1]
 FAULTS = [None] * 6 + [
     "unknown knob", "bad knob", "missing config", "unknown command",
     "missing flag", "bad value", "no pair file", "unknown flag", "help",
-    "stray"]
+    "stray", "repeat", "repeat knob"]
 PAIR_FILE = "PAIR_FILE"
 
 
@@ -121,6 +122,11 @@ def argument_lists(draw):
                       draw(st.sampled_from(MALFORMED_INT)))
     elif fault == "missing config":
         argv += _flag(draw, "config", "no/such/config.toml")
+    elif fault == "repeat knob":
+        knob = draw(st.sampled_from(KNOBS))
+        for value in draw(st.lists(st.sampled_from(KNOB_VALUES), min_size=2,
+                                   max_size=2)):
+            argv += _flag(draw, knob, str(value))
     if fault == "unknown command":
         return argv + ["frob"], None
     command = draw(st.sampled_from(sorted(COMMANDS)))
@@ -129,12 +135,14 @@ def argument_lists(draw):
     faulty = draw(st.sampled_from(sorted(flags)))
     doc = None
     for name, (kind, default) in flags.items():
+        repeat = fault == "repeat" and name == faulty
         if fault == "missing flag" and name == faulty or (
-                default is not REQUIRED and draw(st.booleans())):
+                default is not REQUIRED and not repeat
+                and draw(st.booleans())):
             continue
         broken = fault == "bad value" and name == faulty
         if kind is bool:
-            argv.append(f"--{name}=1" if broken else f"--{name}")
+            argv += [f"--{name}=1" if broken else f"--{name}"] * (1 + repeat)
             continue
         if broken:
             value = draw(st.sampled_from(
@@ -152,6 +160,8 @@ def argument_lists(draw):
         else:
             value = draw(weights())
         argv += _flag(draw, name, value)
+        if repeat:
+            argv += _flag(draw, name, value)
     if fault in ("unknown flag", "help", "stray"):
         word = {"unknown flag": "--frob", "stray": "stray"}.get(
             fault, draw(st.sampled_from(["-h", "--help"])))

@@ -387,8 +387,9 @@ def test_orbit_of_sample(sample_pair):
 def test_orbit_of_rejects_bad_input():
     with pytest.raises(DomainError):
         orbit_of(make_pair([0, 0], [[1, 0], [0, -1]]))
-    # nilpotent but Jordan type not doubled: no orbit
-    with pytest.raises(NotDoubled):
+    # nilpotent but Jordan type not doubled: no orbit and no form, and the
+    # refusal says so in the words of the form solve
+    with pytest.raises(NotDoubled, match=r"no invertible invariant form"):
         orbit_of(make_pair([0, 0], [[0, 1], [0, 0]]))
 
 
